@@ -1,18 +1,13 @@
-//! Connection-scale benchmark for the serving tiers, written to
+//! Connection-scale benchmark for the reactor serving tier, written to
 //! `BENCH_conns.json`.
 //!
 //! Drives N concurrent sessions through a live in-process server and
 //! reports, per leg, aggregate throughput (MB/s over a fixed total byte
 //! budget, so legs are comparable) and p99 session-completion latency:
-//!
-//! * `threaded_base` — the blocking tier (two OS threads per connection)
-//!   at its comfortable scale.
-//! * `reactor_base` / `reactor_10x` / `reactor_32x` — the epoll reactor
-//!   tier at the same scale, 10× it, and 32× it (full runs only).
-//!
-//! The headline `session_ratio` is the reactor tier's largest completed
-//! leg over the threaded leg — the "tens of thousands of connections on a
-//! handful of threads" claim in DESIGN.md §15, scaled to the CI box.
+//! `reactor_base` at the base scale (128 sessions), then `reactor_10x`
+//! and `reactor_32x` (full runs only) at 10× and 32× it — the "tens of
+//! thousands of connections on a handful of threads" claim in DESIGN.md
+//! §15, scaled to the CI box.
 //!
 //! The dictionary is chosen so the text cannot match (patterns contain a
 //! byte the text never uses): the bench measures frame plumbing and
@@ -32,7 +27,7 @@ use pdm_pram::Ctx;
 use pdm_stream::proto::{
     decode_summary, read_frame, write_frame, TAG_CHUNK, TAG_CLOSE, TAG_SUMMARY,
 };
-use pdm_stream::{ServeMode, Server, ServerConfig};
+use pdm_stream::{Server, ServerConfig};
 use std::fmt::Write as _;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -69,7 +64,6 @@ fn chunk_payload() -> Vec<u8> {
 
 struct Leg {
     name: &'static str,
-    mode: ServeMode,
     sessions: usize,
     mbps: f64,
     p99_ms: f64,
@@ -79,16 +73,10 @@ struct Leg {
 /// Best of `reps` runs of a leg: the box this runs on is shared and
 /// single-CPU, and a capacity claim is about what the tier *can* sustain,
 /// not what it does while a neighbour compiles.
-fn run_leg_best(
-    name: &'static str,
-    mode: ServeMode,
-    sessions: usize,
-    total_bytes: usize,
-    reps: usize,
-) -> Leg {
+fn run_leg_best(name: &'static str, sessions: usize, total_bytes: usize, reps: usize) -> Leg {
     let mut best: Option<Leg> = None;
     for _ in 0..reps {
-        let leg = run_leg(name, mode, sessions, total_bytes);
+        let leg = run_leg(name, sessions, total_bytes);
         if best.as_ref().is_none_or(|b| leg.mbps > b.mbps) {
             best = Some(leg);
         }
@@ -96,14 +84,11 @@ fn run_leg_best(
     best.expect("at least one rep")
 }
 
-/// Run `sessions` concurrent sessions against a fresh server in `mode`,
-/// streaming ~`total_bytes` split evenly across them.
-fn run_leg(name: &'static str, mode: ServeMode, sessions: usize, total_bytes: usize) -> Leg {
-    let cfg = ServerConfig {
-        serve_mode: mode,
-        ..Default::default()
-    };
-    let server = Server::bind(("127.0.0.1", 0), no_match_dict(), cfg).expect("bind");
+/// Run `sessions` concurrent sessions against a fresh server, streaming
+/// ~`total_bytes` split evenly across them.
+fn run_leg(name: &'static str, sessions: usize, total_bytes: usize) -> Leg {
+    let server =
+        Server::bind(("127.0.0.1", 0), no_match_dict(), ServerConfig::default()).expect("bind");
     let addr = server.local_addr();
 
     let chunks_per = (total_bytes / sessions / CHUNK).max(1);
@@ -202,7 +187,6 @@ fn run_leg(name: &'static str, mode: ServeMode, sessions: usize, total_bytes: us
     );
     Leg {
         name,
-        mode,
         sessions,
         mbps,
         p99_ms: p99,
@@ -245,49 +229,24 @@ fn main() {
 
     let reps = if smoke() { 1 } else { 3 };
     let mut legs = vec![
-        run_leg_best(
-            "threaded_base",
-            ServeMode::Threaded,
-            base,
-            total_bytes,
-            reps,
-        ),
-        run_leg_best("reactor_base", ServeMode::Reactor, base, total_bytes, reps),
-        run_leg_best(
-            "reactor_10x",
-            ServeMode::Reactor,
-            base * 10,
-            total_bytes,
-            reps,
-        ),
+        run_leg_best("reactor_base", base, total_bytes, reps),
+        run_leg_best("reactor_10x", base * 10, total_bytes, reps),
     ];
     if !smoke() {
-        legs.push(run_leg_best(
-            "reactor_32x",
-            ServeMode::Reactor,
-            base * 32,
-            total_bytes,
-            reps,
-        ));
+        legs.push(run_leg_best("reactor_32x", base * 32, total_bytes, reps));
     }
 
-    let threaded = &legs[0];
     let reactor_max = legs
         .iter()
-        .filter(|l| l.mode == ServeMode::Reactor && l.completed == l.sessions)
+        .filter(|l| l.completed == l.sessions)
         .max_by_key(|l| l.sessions)
         .expect("a completed reactor leg");
-    let session_ratio = reactor_max.sessions as f64 / threaded.sessions as f64;
     let at_10x = legs.iter().find(|l| l.name == "reactor_10x").unwrap();
 
     let mut leg_json = Vec::new();
     for l in &legs {
-        let mode = match l.mode {
-            ServeMode::Reactor => "reactor",
-            ServeMode::Threaded => "threaded",
-        };
         leg_json.push(format!(
-            "    \"{}\": {{\"mode\": \"{mode}\", \"sessions\": {}, \"completed\": {}, \
+            "    \"{}\": {{\"mode\": \"reactor\", \"sessions\": {}, \"completed\": {}, \
              \"mbps\": {:.2}, \"p99_ms\": {:.1}}}",
             l.name, l.sessions, l.completed, l.mbps, l.p99_ms
         ));
@@ -299,14 +258,11 @@ fn main() {
          \"chunk_bytes\": {CHUNK}, \"smoke\": {}, \"note\": \"fixed total byte budget per \
          leg; non-matching dictionary, so this measures frame plumbing and session \
          scheduling, not the matcher\"}},\n  \"legs\": {{\n{}\n  }},\n  \
-         \"headline\": {{\"threaded_sessions\": {}, \"reactor_max_sessions\": {}, \
-         \"session_ratio\": {session_ratio:.1}, \"threaded_mbps\": {:.2}, \
+         \"headline\": {{\"reactor_max_sessions\": {}, \
          \"reactor_mbps_at_10x\": {:.2}, \"reactor_mbps_at_max\": {:.2}}}\n}}\n",
         smoke(),
         leg_json.join(",\n"),
-        threaded.sessions,
         reactor_max.sessions,
-        threaded.mbps,
         at_10x.mbps,
         reactor_max.mbps,
     );

@@ -723,9 +723,9 @@ fn a1() {
 // Justifies the lock-free ConcPairTable used for every namestamping round.
 // ---------------------------------------------------------------------------
 fn a2() {
-    use parking_lot::Mutex;
     use pdm_naming::{NamePool, NameTable};
     use pdm_primitives::FxHashMap;
+    use std::sync::Mutex;
     println!("## A2 — ablation: namestamping table implementation");
     println!("CAS open-addressing (ours) vs Mutex<FxHashMap> under contention\n");
     let n_keys = 1usize << 18;
@@ -761,7 +761,7 @@ fn a2() {
                         s.spawn(move || {
                             let mut acc = 0u64;
                             for &(a, b) in keys.iter().skip(th).step_by(threads.max(1)) {
-                                let mut m = table.lock();
+                                let mut m = table.lock().unwrap();
                                 let v = *m.entry((a, b)).or_insert_with(|| {
                                     next.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
                                 });

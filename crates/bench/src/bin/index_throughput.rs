@@ -118,7 +118,9 @@ fn main() {
 
     // -- query ------------------------------------------------------------
     let idx = CorpusIndex::build(&Ctx::par(), text.clone());
-    let mut query_legs: Vec<(&str, f64, Vec<(usize, f64)>)> = Vec::new();
+    // (leg, seq kqps, (width, kqps) per pool width)
+    type QueryLeg = (&'static str, f64, Vec<(usize, f64)>);
+    let mut query_legs: Vec<QueryLeg> = Vec::new();
     for merge in [true, false] {
         let opts = BatchOptions {
             merge,

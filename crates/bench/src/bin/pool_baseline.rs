@@ -86,7 +86,8 @@ fn main() {
         out
     };
 
-    let workloads: Vec<(&str, Box<dyn Fn(&Ctx)>)> = vec![
+    type Workload<'a> = Box<dyn Fn(&Ctx) + 'a>;
+    let workloads: Vec<(&str, Workload)> = vec![
         (
             "static1d",
             Box::new(|ctx: &Ctx| {

@@ -323,7 +323,8 @@ fn main() {
     ];
 
     // name -> (leg -> (seq, par)) preserving declaration order.
-    let mut results: Vec<(String, Vec<(String, f64, Vec<(usize, f64)>)>)> = Vec::new();
+    type LegTimes = (String, f64, Vec<(usize, f64)>);
+    let mut results: Vec<(String, Vec<LegTimes>)> = Vec::new();
     for (name, leg, bytes, work) in legs.iter_mut() {
         if smoke() && *leg == "before" {
             continue;

@@ -31,7 +31,7 @@ fn longest_by_content(
     longest: &[Option<PatId>],
     pattern_of: &dyn Fn(PatId) -> Vec<Sym>,
 ) -> Vec<Option<Vec<Sym>>> {
-    longest.iter().map(|o| o.map(|id| pattern_of(id))).collect()
+    longest.iter().map(|o| o.map(pattern_of)).collect()
 }
 
 proptest! {

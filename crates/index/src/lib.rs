@@ -143,7 +143,7 @@ mod tests {
         assert_eq!(idx.locate(&pat), vec![0, 31, 44]);
         let hits = idx.query_batch(
             &Ctx::par(),
-            &[pat.clone()],
+            std::slice::from_ref(&pat),
             &BatchOptions {
                 merge: true,
                 mode: QueryMode::Locate,

@@ -11,14 +11,15 @@
 //! Counters are atomics so instrumented code can charge costs from inside
 //! parallel loops without synchronization beyond the increments themselves.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Accumulates PRAM rounds and work, with an optional per-phase breakdown.
 #[derive(Debug, Default)]
 pub struct CostModel {
     rounds: AtomicU64,
     work: AtomicU64,
+    /// One entry per distinct phase name, in first-occurrence order.
     phases: Mutex<Vec<PhaseStats>>,
 }
 
@@ -89,39 +90,44 @@ impl CostModel {
     }
 
     /// Run `f`, attributing the rounds/work it charges to phase `name`.
+    /// A repeated name adds to its existing entry, so a long-lived model
+    /// (a shard worker's) holds one entry per distinct phase.
     pub fn phase<R>(&self, name: &'static str, f: impl FnOnce() -> R) -> R {
         let before = self.snapshot();
         let r = f();
         let delta = self.snapshot().since(before);
-        self.phases.lock().push(PhaseStats {
-            name,
-            rounds: delta.rounds,
-            work: delta.work,
-        });
+        let mut phases = self.lock_phases();
+        match phases.iter_mut().find(|p| p.name == name) {
+            Some(p) => {
+                p.rounds += delta.rounds;
+                p.work += delta.work;
+            }
+            None => phases.push(PhaseStats {
+                name,
+                rounds: delta.rounds,
+                work: delta.work,
+            }),
+        }
         r
     }
 
-    /// All recorded phases, in execution order. Repeated phase names are
-    /// merged (summed), preserving first-occurrence order.
+    /// All recorded phases in first-occurrence order, repeated names
+    /// summed.
     pub fn phases(&self) -> Vec<PhaseStats> {
-        let raw = self.phases.lock();
-        let mut merged: Vec<PhaseStats> = Vec::new();
-        for p in raw.iter() {
-            if let Some(m) = merged.iter_mut().find(|m| m.name == p.name) {
-                m.rounds += p.rounds;
-                m.work += p.work;
-            } else {
-                merged.push(p.clone());
-            }
-        }
-        merged
+        self.lock_phases().clone()
     }
 
     /// Reset all counters and phases.
     pub fn reset(&self) {
         self.rounds.store(0, Ordering::Relaxed);
         self.work.store(0, Ordering::Relaxed);
-        self.phases.lock().clear();
+        self.lock_phases().clear();
+    }
+
+    /// The phase list is plain data, valid even if a panic unwound
+    /// through a holder, so a poisoned lock is recovered.
+    fn lock_phases(&self) -> MutexGuard<'_, Vec<PhaseStats>> {
+        self.phases.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -166,6 +172,18 @@ mod tests {
         assert_eq!(ps[0].work, 10);
         assert_eq!(ps[1].name, "extend");
         assert_eq!(ps[1].work, 2);
+    }
+
+    #[test]
+    fn repeated_phase_is_stored_once() {
+        let c = CostModel::new();
+        for _ in 0..10_000 {
+            c.phase("verify", || c.round(1));
+        }
+        assert_eq!(c.phases.lock().unwrap().len(), 1);
+        let ps = c.phases();
+        assert_eq!(ps[0].rounds, 10_000);
+        assert_eq!(ps[0].work, 10_000);
     }
 
     #[test]

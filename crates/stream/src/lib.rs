@@ -14,9 +14,10 @@
 //!   worker shards through *bounded* channels, so a slow consumer exerts
 //!   backpressure (callers block, or get `WouldBlock` via
 //!   [`Session::try_push`]) instead of growing unbounded queues.
-//! * [`server`] — a minimal length-prefixed TCP byte protocol
-//!   (std-only) exposing the service: `pdm serve --dict words.txt --port N`.
-//!   Fault-tolerant: supervised shard workers, accept-loop backoff,
+//! * [`server`] — a minimal length-prefixed TCP byte protocol exposing
+//!   the service: `pdm serve --dict words.txt --port N`. Connections are
+//!   owned by a fixed pool of epoll/poll(2) event loops ([`reactor`]).
+//!   Fault-tolerant: supervised shard workers, accept backoff,
 //!   connection caps with load shedding, read timeouts, and graceful
 //!   drain on shutdown.
 //! * [`client`] — [`RetryingClient`], a reconnecting client that resumes
@@ -52,7 +53,7 @@ pub mod stream;
 pub use admin::DictAdmin;
 pub use client::{ClientStats, ClientSummary, RetryConfig, RetryingClient};
 pub use metrics::{GlobalMetrics, GlobalSnapshot, SessionCounters, SessionSnapshot};
-pub use server::{ServeMode, Server, ServerConfig};
+pub use server::{Server, ServerConfig};
 pub use service::{
     Event, PushError, ServiceConfig, Session, SessionNotify, SessionOptions, SessionSummary,
     ShardedService, TryPushError,

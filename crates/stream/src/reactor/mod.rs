@@ -1,19 +1,16 @@
-//! Readiness-driven serving tier: N reactor threads own all connections.
+//! The serving tier: N reactor threads own all connections.
 //!
-//! The threaded server ([`crate::server`]) spends two OS threads per
-//! connection; this tier replaces them with a fixed pool of reactors,
-//! each running an epoll/poll(2) event loop (via the vendored `mio`
-//! shim). One reactor owns a connection for its whole life: it decodes
-//! length-prefixed frames incrementally from a per-connection read
-//! buffer, feeds the existing [`ShardedService`] queues, and writes
-//! replies interest-driven (EPOLLOUT is subscribed only after a partial
-//! write). Tens of thousands of concurrent connections cost memory, not
-//! threads.
+//! [`crate::server::Server`] runs a fixed pool of reactors, each running
+//! an epoll/poll(2) event loop (via the vendored `mio` shim). One reactor
+//! owns a connection for its whole life: it decodes length-prefixed
+//! frames incrementally from a per-connection read buffer, feeds the
+//! [`ShardedService`] queues, and writes replies interest-driven
+//! (EPOLLOUT is subscribed only after a partial write). Tens of thousands
+//! of concurrent connections cost memory, not threads.
 //!
 //! ## Semantics contract
 //!
-//! The reactor preserves the threaded server's observable behaviour —
-//! the chaos and lifecycle suites run unchanged against both modes:
+//! The chaos and lifecycle suites pin these properties:
 //!
 //! * `opened == closed` accounting: every session opened gets a close
 //!   marker on every path, including socket failures (the `Dead` state
@@ -26,7 +23,8 @@
 //!   drops read interest (so the kernel buffer, then the remote sender,
 //!   fill up), and retries on a 1 ms tick.
 //! * Load shedding, read/idle timeouts (timer wheel), graceful drain,
-//!   and `DICT_*`/epoch frames behave exactly as in threaded mode.
+//!   and `DICT_*`/epoch frames are served on the reactor thread, with
+//!   their replies queued on the same ordered output buffer.
 //!
 //! ## Wakeup paths
 //!
@@ -42,11 +40,11 @@ use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mio::{Interest, Token, Waker};
 
 use crate::admin::DictAdmin;
@@ -146,7 +144,7 @@ impl ReactorPool {
         for _ in 0..n {
             let poll = mio::Poll::new()?;
             let waker = Arc::new(Waker::new(&poll, Token(TOK_WAKER))?);
-            let (tx, rx) = unbounded::<TcpStream>();
+            let (tx, rx) = channel::<TcpStream>();
             polls.push(poll);
             wakers.push(waker);
             txs.push(tx);
@@ -280,8 +278,7 @@ struct Conn {
     pending_chunk: Option<Vec<u32>>,
     /// Close marker not yet enqueued (full shard queue).
     pending_close: bool,
-    /// Reader-side failure to report instead of the summary (mirrors the
-    /// threaded server's pending-error slot).
+    /// Reader-side failure to report instead of the summary.
     pending_err: Option<String>,
     /// No more socket reads (EOF, `TAG_CLOSE`, or error).
     read_done: bool,
@@ -348,7 +345,12 @@ impl Reactor {
             }
             if self.stop.load(Ordering::SeqCst) {
                 self.close_listener();
-                if self.conns.is_empty() && self.inbox.is_empty() {
+                // A connection handed off just before the stop still
+                // gets served to its summary.
+                while let Ok(sock) = self.inbox.try_recv() {
+                    self.adopt(sock);
+                }
+                if self.conns.is_empty() {
                     break;
                 }
             }
@@ -741,11 +743,11 @@ impl Reactor {
                 Err(e) => return self.conn_error(conn, e),
             };
             self.global.frame_decoded();
-            // Same per-frame cadence as the threaded reader's hook.
+            // One fault-hook call per decoded frame.
             match faults::hook_conn_frame() {
                 ConnFault::None => {}
-                // Stalls the whole reactor thread: coarser blast radius
-                // than the threaded per-connection stall, same semantics.
+                // Stalls the whole reactor thread, so every connection it
+                // owns waits out the stall.
                 ConnFault::Stall(d) => std::thread::sleep(d),
                 ConnFault::Reset => {
                     let _ = conn.sock.shutdown(Shutdown::Both);
@@ -851,8 +853,7 @@ impl Reactor {
             return self.conn_error(conn, e);
         }
         // EOF at a frame boundary is a clean close; a connection that
-        // never sent a frame still opens (and summarizes) a session,
-        // matching the threaded server.
+        // never sent a frame still opens (and summarizes) a session.
         if conn.state == ConnState::AwaitFirst {
             self.open_session(conn, SessionOptions::default());
         }

@@ -1,15 +1,16 @@
 //! TCP front-end: one connection = one [`Session`](crate::Session).
 //!
-//! The accept loop and per-connection reader/writer threads use only
-//! `std::net`. Frames are defined in [`crate::proto`]. Backpressure
-//! composes end to end: a full shard queue blocks the connection's reader
-//! thread, which stops reading the socket, which fills the kernel buffer,
-//! which eventually blocks the remote sender.
+//! [`Server`] binds the listener and hands it to a fixed pool of reactor
+//! threads ([`crate::reactor`]) that own every connection. Frames are
+//! defined in [`crate::proto`]. Backpressure composes end to end: a full
+//! shard queue parks the connection's next chunk and drops its read
+//! interest, which fills the kernel buffer, which eventually blocks the
+//! remote sender.
 //!
 //! ## Failure model
 //!
 //! * Transient `accept()` errors (EMFILE, ECONNABORTED, …) are retried
-//!   with capped exponential backoff — only the stop flag ends the loop.
+//!   with capped exponential backoff — only the stop flag ends accepting.
 //! * Above [`ServerConfig::max_conns`] live connections, new arrivals are
 //!   load-shed at accept time: one best-effort `TAG_ERROR "busy"` frame,
 //!   then close. Shed work is counted, never silently dropped.
@@ -19,60 +20,26 @@
 //!   [`ServerConfig::drain_deadline`] for in-flight sessions to reach
 //!   their summaries, then force-close the stragglers.
 //!
-//! All error frames are routed through the connection's writer thread
-//! (via a pending-error slot), so a failure can never interleave bytes
-//! with a concurrently written match frame.
+//! All frames of a connection leave through one ordered output buffer, so
+//! a failure can never interleave bytes with a match frame.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pdm_core::static1d::StaticMatcher;
 use pdm_dict::DictStore;
 
 use crate::admin::DictAdmin;
-use crate::faults::{self, ConnFault};
 use crate::proto::{
-    decode_hello, encode_ack, encode_dict_info, encode_epoch, encode_hello_ack, encode_match,
-    encode_stats, encode_summary, write_frame, EpochChange, TAG_ACK, TAG_CHUNK, TAG_CLOSE,
-    TAG_DICT_ADD, TAG_DICT_COMMIT, TAG_DICT_ERR, TAG_DICT_INFO, TAG_DICT_INFO_RESP, TAG_DICT_OK,
-    TAG_DICT_REMOVE, TAG_EPOCH, TAG_ERROR, TAG_HELLO, TAG_HELLO_ACK, TAG_MATCH, TAG_STATS,
-    TAG_STATS_RESP, TAG_SUMMARY,
+    encode_dict_info, write_frame, TAG_DICT_ADD, TAG_DICT_COMMIT, TAG_DICT_ERR, TAG_DICT_INFO,
+    TAG_DICT_INFO_RESP, TAG_DICT_OK, TAG_DICT_REMOVE, TAG_ERROR,
 };
-use crate::service::{Event, ServiceConfig, SessionOptions, ShardedService};
-
-/// How the server turns sockets into sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// Readiness-driven reactor pool ([`crate::reactor`]): a fixed set of
-    /// event-loop threads own all connections. Scales to tens of
-    /// thousands of concurrent sessions. The default.
-    Reactor,
-    /// Two OS threads (reader + writer) per connection. Simple, but
-    /// thread count scales with connections.
-    Threaded,
-}
-
-impl ServeMode {
-    /// Default mode, overridable via `PDM_SERVE_MODE=threaded|reactor`
-    /// (used by CI to run the same suites through both serving tiers).
-    pub fn from_env() -> ServeMode {
-        match std::env::var("PDM_SERVE_MODE").as_deref() {
-            Ok("threaded") => ServeMode::Threaded,
-            _ => ServeMode::Reactor,
-        }
-    }
-}
-
-impl Default for ServeMode {
-    fn default() -> Self {
-        ServeMode::from_env()
-    }
-}
+use crate::reactor::ReactorPool;
+use crate::service::{ServiceConfig, ShardedService};
 
 /// Server knobs: service tuning plus socket/lifecycle behaviour.
 #[derive(Clone, Debug)]
@@ -87,13 +54,9 @@ pub struct ServerConfig {
     /// How long [`Server::shutdown`] waits for in-flight sessions to reach
     /// their summaries before force-closing their connections.
     pub drain_deadline: Duration,
-    /// Cap for the accept loop's exponential error backoff.
+    /// Cap for the accept path's exponential error backoff.
     pub accept_backoff_max: Duration,
-    /// Serving tier (defaults to [`ServeMode::Reactor`], or the
-    /// `PDM_SERVE_MODE` environment override).
-    pub serve_mode: ServeMode,
-    /// Reactor thread count in [`ServeMode::Reactor`]; 0 = one per
-    /// available core (capped at 8).
+    /// Reactor thread count; 0 = one per available core (capped at 8).
     pub reactors: usize,
 }
 
@@ -105,7 +68,6 @@ impl Default for ServerConfig {
             max_conns: 0,
             drain_deadline: Duration::from_secs(5),
             accept_backoff_max: Duration::from_millis(100),
-            serve_mode: ServeMode::default(),
             reactors: 0,
         }
     }
@@ -125,8 +87,8 @@ fn default_reactors() -> usize {
 pub struct Server {
     local_addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    reactors: Option<crate::reactor::ReactorPool>,
+    /// `None` once shutdown or join has taken the pool.
+    reactors: Option<ReactorPool>,
     service: Arc<ShardedService>,
     admin: Option<Arc<DictAdmin>>,
     live: Arc<AtomicUsize>,
@@ -136,7 +98,7 @@ pub struct Server {
 
 impl Server {
     /// Bind a listener (use port 0 for an ephemeral port) and start
-    /// accepting connections on a background thread. The dictionary is
+    /// accepting connections on the reactor pool. The dictionary is
     /// fixed; `DICT_*` admin frames are rejected.
     pub fn bind(
         addr: impl ToSocketAddrs,
@@ -172,53 +134,30 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        // Non-blocking accept so the loop can observe the stop flag.
+        // Non-blocking accept: the reactor drains it until WouldBlock.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(0));
         let conns: ConnRegistry = Arc::new(Mutex::new(HashMap::new()));
-        let mut accept = None;
-        let mut reactors = None;
-        match cfg.serve_mode {
-            ServeMode::Threaded => {
-                let stop = Arc::clone(&stop);
-                let service = Arc::clone(&service);
-                let admin = admin.clone();
-                let live = Arc::clone(&live);
-                let conns = Arc::clone(&conns);
-                let cfg = cfg.clone();
-                accept = Some(
-                    std::thread::Builder::new()
-                        .name("pdm-accept".into())
-                        .spawn(move || {
-                            accept_loop(listener, stop, service, admin, cfg, live, conns)
-                        })
-                        .expect("spawn accept thread"),
-                );
-            }
-            ServeMode::Reactor => {
-                let n = if cfg.reactors > 0 {
-                    cfg.reactors
-                } else {
-                    default_reactors()
-                };
-                reactors = Some(crate::reactor::ReactorPool::spawn(
-                    listener,
-                    Arc::clone(&service),
-                    admin.clone(),
-                    cfg.clone(),
-                    Arc::clone(&stop),
-                    Arc::clone(&live),
-                    Arc::clone(&conns),
-                    n,
-                )?);
-            }
-        }
+        let n = if cfg.reactors > 0 {
+            cfg.reactors
+        } else {
+            default_reactors()
+        };
+        let reactors = ReactorPool::spawn(
+            listener,
+            Arc::clone(&service),
+            admin.clone(),
+            cfg.clone(),
+            Arc::clone(&stop),
+            Arc::clone(&live),
+            Arc::clone(&conns),
+            n,
+        )?;
         Ok(Server {
             local_addr,
             stop,
-            accept,
-            reactors,
+            reactors: Some(reactors),
             service,
             admin,
             live,
@@ -256,16 +195,13 @@ impl Server {
         if let Some(p) = self.reactors.as_ref() {
             p.wake_all();
         }
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
         let deadline = Instant::now() + self.drain_deadline;
         while self.live.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(2));
         }
         if self.live.load(Ordering::SeqCst) > 0 {
-            // Deadline expired: force-close what's left. Readers (or
-            // reactors) observe EOF/reset, close their sessions, and exit.
+            // Deadline expired: force-close what's left. The reactors
+            // observe EOF/reset and close the sessions.
             for (_, sock) in self.conns.lock().unwrap().iter() {
                 self.service.global_metrics().drain_force_closed();
                 let _ = sock.shutdown(Shutdown::Both);
@@ -280,12 +216,9 @@ impl Server {
         }
     }
 
-    /// Block on the serving threads (used by `pdm serve`, which runs
+    /// Block on the reactor threads (used by `pdm serve`, which runs
     /// until killed).
     pub fn join(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
         if let Some(mut p) = self.reactors.take() {
             p.join();
         }
@@ -295,77 +228,8 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
         if let Some(mut p) = self.reactors.take() {
             p.halt_and_join();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-    service: Arc<ShardedService>,
-    admin: Option<Arc<DictAdmin>>,
-    cfg: ServerConfig,
-    live: Arc<AtomicUsize>,
-    conns: ConnRegistry,
-) {
-    let base = Duration::from_millis(1);
-    let mut backoff = base;
-    let mut next_conn_id = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        let accepted: io::Result<TcpStream> = match faults::hook_accept() {
-            Some(e) => Err(e),
-            None => listener.accept().map(|(sock, _peer)| sock),
-        };
-        match accepted {
-            Ok(sock) => {
-                backoff = base;
-                if cfg.max_conns > 0 && live.load(Ordering::SeqCst) >= cfg.max_conns {
-                    service.global_metrics().conn_shed();
-                    shed(sock);
-                    continue;
-                }
-                live.fetch_add(1, Ordering::SeqCst);
-                let id = next_conn_id;
-                next_conn_id += 1;
-                if let Ok(clone) = sock.try_clone() {
-                    conns.lock().unwrap().insert(id, clone);
-                }
-                let conn_service = Arc::clone(&service);
-                let conn_admin = admin.clone();
-                let conn_live = Arc::clone(&live);
-                let conn_conns = Arc::clone(&conns);
-                let read_timeout = cfg.read_timeout;
-                let spawned =
-                    std::thread::Builder::new()
-                        .name("pdm-conn".into())
-                        .spawn(move || {
-                            let _ = handle_conn(sock, &conn_service, conn_admin, read_timeout);
-                            conn_conns.lock().unwrap().remove(&id);
-                            conn_live.fetch_sub(1, Ordering::SeqCst);
-                        });
-                if spawned.is_err() {
-                    // Could not spawn (resource exhaustion): undo bookkeeping.
-                    conns.lock().unwrap().remove(&id);
-                    live.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                backoff = base;
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => {
-                // Transient accept failure (EMFILE, ECONNABORTED, …): back
-                // off and retry. Only the stop flag ends this loop — a
-                // burst of errors must never turn into a permanent outage.
-                service.global_metrics().accept_retry();
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(cfg.accept_backoff_max);
-            }
         }
     }
 }
@@ -379,251 +243,6 @@ pub(crate) fn shed(sock: TcpStream) {
         b"busy: connection limit reached, retry later",
     );
     let _ = sock.shutdown(Shutdown::Both);
-}
-
-fn handle_conn(
-    sock: TcpStream,
-    service: &ShardedService,
-    admin: Option<Arc<DictAdmin>>,
-    read_timeout: Option<Duration>,
-) -> io::Result<()> {
-    sock.set_nodelay(true).ok();
-    if let Some(d) = read_timeout {
-        sock.set_read_timeout(Some(d)).ok();
-    }
-    let global = Arc::clone(service.global_metrics());
-    let mut r = BufReader::new(sock.try_clone()?);
-
-    // Optional handshake: a TAG_HELLO first frame opts into a resume
-    // offset and periodic acks. Anything else is treated as the first
-    // regular frame of a plain (PR-1 protocol) session.
-    let mut opts = SessionOptions::default();
-    let mut ack_every: u64 = 0;
-    let mut hello = false;
-    let mut first_frame: Option<Option<(u8, Vec<u8>)>> = None;
-    match crate::proto::read_frame(&mut r) {
-        Ok(Some((TAG_HELLO, payload))) => match decode_hello(&payload) {
-            Some(h) => {
-                opts.start_offset = h.resume_offset;
-                opts.progress = h.ack_every > 0;
-                ack_every = h.ack_every as u64;
-                hello = true;
-            }
-            None => {
-                let mut w = sock.try_clone()?;
-                let _ = write_frame(&mut w, TAG_ERROR, b"malformed hello payload");
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "malformed hello payload",
-                ));
-            }
-        },
-        Ok(other) => first_frame = Some(other),
-        Err(e) => {
-            // No session was opened yet; classify, report, drop.
-            record_conn_error(&global, &e);
-            let mut w = sock.try_clone()?;
-            let _ = write_frame(&mut w, TAG_ERROR, conn_error_message(&e).as_bytes());
-            return Err(e);
-        }
-    }
-
-    let mut session = service.open_with(opts);
-    let events = session.events_handle();
-    // A reader-side failure parks its message here; the writer emits it as
-    // the terminal TAG_ERROR frame (instead of a summary), so error frames
-    // never interleave with concurrently written match frames.
-    let pending_err: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-
-    // Admin replies are produced on the reader thread but written by the
-    // writer (below), so they never interleave bytes with match frames.
-    let (admin_tx, admin_rx) = crossbeam::channel::unbounded::<(u8, Vec<u8>)>();
-
-    // Writer half: forward match/ack/summary/epoch events and admin
-    // replies to the socket as they arrive, concurrently with the reader
-    // half below.
-    let writer_sock = sock.try_clone()?;
-    let max_pat = service.current().max_pattern_len() as u32;
-    let writer_pending = Arc::clone(&pending_err);
-    let writer = std::thread::Builder::new()
-        .name("pdm-conn-writer".into())
-        .spawn(move || -> io::Result<()> {
-            let mut w = BufWriter::new(writer_sock);
-            if hello {
-                write_frame(&mut w, TAG_HELLO_ACK, &encode_hello_ack(max_pat))?;
-                w.flush()?;
-            }
-            let mut chunks_seen = 0u64;
-            loop {
-                // Multiplex session events with admin replies: drain any
-                // queued replies, then wait briefly for an event so a
-                // reply never sits behind an idle event channel for more
-                // than the poll interval.
-                flush_admin_replies(&admin_rx, &mut w)?;
-                let ev = match events.recv_timeout(Duration::from_millis(25)) {
-                    Ok(ev) => ev,
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        flush_admin_replies(&admin_rx, &mut w)?;
-                        break;
-                    }
-                };
-                match ev {
-                    Event::Matches(batch) => {
-                        for m in &batch {
-                            write_frame(&mut w, TAG_MATCH, &encode_match(m))?;
-                        }
-                        w.flush()?;
-                    }
-                    Event::Progress(consumed) => {
-                        chunks_seen += 1;
-                        if ack_every > 0 && chunks_seen.is_multiple_of(ack_every) {
-                            write_frame(&mut w, TAG_ACK, &encode_ack(consumed))?;
-                            w.flush()?;
-                        }
-                    }
-                    Event::Epoch {
-                        epoch,
-                        max_pattern_len,
-                    } => {
-                        write_frame(
-                            &mut w,
-                            TAG_EPOCH,
-                            &encode_epoch(&EpochChange {
-                                epoch,
-                                max_pattern_len,
-                            }),
-                        )?;
-                        w.flush()?;
-                    }
-                    Event::Failed(msg) => {
-                        flush_admin_replies(&admin_rx, &mut w)?;
-                        write_frame(&mut w, TAG_ERROR, msg.as_bytes())?;
-                        w.flush()?;
-                        break;
-                    }
-                    Event::Closed(summary) => {
-                        // Terminal events only follow the reader's finish,
-                        // so every admin reply is already queued — emit
-                        // them before the final frame.
-                        flush_admin_replies(&admin_rx, &mut w)?;
-                        if let Some(msg) = writer_pending.lock().unwrap().take() {
-                            write_frame(&mut w, TAG_ERROR, msg.as_bytes())?;
-                        } else {
-                            write_frame(&mut w, TAG_SUMMARY, &encode_summary(&summary))?;
-                        }
-                        w.flush()?;
-                        break;
-                    }
-                }
-            }
-            Ok(())
-        })
-        .expect("spawn connection writer");
-
-    // Reader half: frames in, chunks to the service. Session::push blocks
-    // on a full shard queue — backpressure reaches the socket naturally.
-    let result: io::Result<()> = (|| {
-        loop {
-            let frame = match first_frame.take() {
-                Some(f) => f,
-                None => {
-                    match faults::hook_conn_frame() {
-                        ConnFault::None => {}
-                        ConnFault::Stall(d) => std::thread::sleep(d),
-                        ConnFault::Reset => {
-                            // Simulate a peer/middlebox reset: kill the
-                            // socket outright, no polite error frame.
-                            let _ = sock.shutdown(Shutdown::Both);
-                            return Err(io::Error::new(
-                                io::ErrorKind::ConnectionReset,
-                                "injected fault: connection reset",
-                            ));
-                        }
-                    }
-                    crate::proto::read_frame(&mut r)?
-                }
-            };
-            match frame {
-                Some((TAG_CHUNK, payload)) => {
-                    let syms: Vec<u32> = payload.iter().map(|&b| b as u32).collect();
-                    if session.push(syms).is_err() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "service shut down",
-                        ));
-                    }
-                }
-                Some((TAG_CLOSE, _)) | None => {
-                    // Clean close (or EOF at a frame boundary): the writer
-                    // exits once it forwards the summary.
-                    return Ok(());
-                }
-                Some((
-                    tag @ (TAG_DICT_ADD | TAG_DICT_REMOVE | TAG_DICT_COMMIT | TAG_DICT_INFO),
-                    payload,
-                )) => {
-                    let reply = handle_dict_frame(admin.as_deref(), &global, tag, &payload);
-                    if admin_tx.send(reply).is_err() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "writer gone before admin reply",
-                        ));
-                    }
-                }
-                Some((TAG_STATS, _)) => {
-                    // Service-wide metrics snapshot; replies through the
-                    // writer like a dict frame so it never interleaves.
-                    let reply = (TAG_STATS_RESP, encode_stats(&global.snapshot()));
-                    if admin_tx.send(reply).is_err() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::BrokenPipe,
-                            "writer gone before stats reply",
-                        ));
-                    }
-                }
-                Some((TAG_HELLO, _)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "hello is only valid as the first frame",
-                    ));
-                }
-                Some((tag, _)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("unexpected client frame tag {tag:#x}"),
-                    ));
-                }
-            }
-        }
-    })();
-
-    if let Err(ref e) = result {
-        record_conn_error(&global, e);
-        *pending_err.lock().unwrap() = Some(conn_error_message(e));
-    }
-    // Close the session on every path; the worker then emits Closed and
-    // the writer terminates the connection with either the summary or the
-    // pending error frame.
-    session.finish();
-    let _ = writer.join();
-    result
-}
-
-/// Drain queued admin replies to the socket (used before terminal frames).
-fn flush_admin_replies(
-    admin_rx: &crossbeam::channel::Receiver<(u8, Vec<u8>)>,
-    w: &mut impl Write,
-) -> io::Result<()> {
-    let mut wrote = false;
-    while let Ok((tag, payload)) = admin_rx.try_recv() {
-        write_frame(w, tag, &payload)?;
-        wrote = true;
-    }
-    if wrote {
-        w.flush()?;
-    }
-    Ok(())
 }
 
 /// Execute one `DICT_*` admin frame, returning the reply frame.
@@ -659,8 +278,8 @@ pub(crate) fn handle_dict_frame(
 /// Count a connection-level failure in the right degradation bucket.
 pub(crate) fn record_conn_error(global: &crate::metrics::GlobalMetrics, e: &io::Error) {
     match e.kind() {
-        // set_read_timeout expiry surfaces as WouldBlock (unix) or
-        // TimedOut (windows).
+        // The reactor's timer wheel reports idle expiry as WouldBlock;
+        // a socket-level ETIMEDOUT surfaces as TimedOut.
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => global.read_timeout(),
         io::ErrorKind::UnexpectedEof => global.truncated_frame(),
         _ => {}

@@ -45,10 +45,10 @@
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use pdm_core::dict::Sym;
 use pdm_core::static1d::StaticMatcher;
 use pdm_dict::{EpochHandle, Snapshot};
@@ -146,7 +146,7 @@ pub type SessionNotify = Arc<dyn Fn() + Send + Sync>;
 enum Job {
     Open {
         id: u64,
-        events: Sender<Event>,
+        events: SyncSender<Event>,
         counters: Arc<SessionCounters>,
         opts: SessionOptions,
         notify: Option<SessionNotify>,
@@ -165,7 +165,7 @@ enum Job {
 /// close.
 pub struct Session {
     id: u64,
-    jobs: Sender<Job>,
+    jobs: SyncSender<Job>,
     events: Receiver<Event>,
     counters: Arc<SessionCounters>,
     global: Arc<GlobalMetrics>,
@@ -177,19 +177,23 @@ impl Session {
         self.id
     }
 
-    /// Submit a chunk, blocking while the shard queue is full.
+    /// Submit a chunk, blocking (and counting a stall) while the shard
+    /// queue is full.
     pub fn push(&self, data: Vec<Sym>) -> Result<(), PushError> {
         assert!(!self.finished, "push after finish/close");
         self.global.enqueued();
-        if self.jobs.is_full() {
-            self.global.record_stall();
-        }
-        match self.jobs.send(Job::Chunk { id: self.id, data }) {
-            Ok(()) => Ok(()),
-            Err(_) => {
-                self.global.dequeued();
-                Err(PushError)
+        let sent = match self.jobs.try_send(Job::Chunk { id: self.id, data }) {
+            Err(TrySendError::Full(job)) => {
+                self.global.record_stall();
+                self.jobs.send(job).is_ok()
             }
+            r => r.is_ok(),
+        };
+        if sent {
+            Ok(())
+        } else {
+            self.global.dequeued();
+            Err(PushError)
         }
     }
 
@@ -224,29 +228,11 @@ impl Session {
         self.events.try_recv().ok()
     }
 
-    /// A clone of the event receiver, for draining from another thread
-    /// (e.g. a connection's writer half) while this handle keeps pushing.
-    pub fn events_handle(&self) -> Receiver<Event> {
-        self.events.clone()
-    }
-
-    /// Declare end-of-stream. Idempotent; events may still be pending.
-    ///
-    /// Blocks while the shard queue is full — only safe when *another*
-    /// thread drains [`Self::events_handle`] (as the threaded TCP server
-    /// does); single-threaded callers should use [`Self::close`], which
-    /// drains while it waits.
-    pub fn finish(&mut self) {
-        if !self.finished {
-            self.finished = true;
-            let _ = self.jobs.send(Job::Close { id: self.id });
-        }
-    }
-
-    /// Non-blocking [`Self::finish`]: `false` means the shard queue is
-    /// full and the close marker was **not** enqueued — retry later (the
-    /// reactor retries each tick while draining events in between, which
-    /// is what unjams the worker). A dead service counts as finished.
+    /// Declare end-of-stream without blocking. Idempotent; events may
+    /// still be pending. `false` means the shard queue is full and the
+    /// close marker was **not** enqueued — retry later (the reactor
+    /// retries each tick while draining events in between, which is what
+    /// unjams the worker). A dead service counts as finished.
     pub fn try_finish(&mut self) -> bool {
         if self.finished {
             return true;
@@ -327,7 +313,7 @@ impl Drop for Session {
 /// The service: shared dictionary epochs + shard workers + bounded queues.
 pub struct ShardedService {
     handle: Arc<EpochHandle>,
-    shards: Vec<Sender<Job>>,
+    shards: Vec<SyncSender<Job>>,
     handles: Vec<JoinHandle<()>>,
     global: Arc<GlobalMetrics>,
     next_id: AtomicU64,
@@ -353,7 +339,7 @@ impl ShardedService {
         let mut shards = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for w in 0..workers {
-            let (tx, rx) = bounded::<Job>(cfg.queue_cap.max(1));
+            let (tx, rx) = sync_channel::<Job>(cfg.queue_cap.max(1));
             let handle = Arc::clone(&handle);
             let global = Arc::clone(&global);
             let exec = cfg.exec.clone();
@@ -402,7 +388,7 @@ impl ShardedService {
     pub fn open_with_notify(&self, opts: SessionOptions, notify: Option<SessionNotify>) -> Session {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let shard = (id as usize) % self.shards.len();
-        let (ev_tx, ev_rx) = bounded::<Event>(self.events_cap);
+        let (ev_tx, ev_rx) = sync_channel::<Event>(self.events_cap);
         let counters = Arc::new(SessionCounters::default());
         let opened = self.shards[shard].send(Job::Open {
             id,
@@ -453,7 +439,7 @@ impl Drop for ShardedService {
 
 struct WorkerSession {
     m: StreamMatcher<Snapshot>,
-    events: Sender<Event>,
+    events: SyncSender<Event>,
     counters: Arc<SessionCounters>,
     progress: bool,
     notify: Option<SessionNotify>,
@@ -464,6 +450,20 @@ impl WorkerSession {
     /// a poll-loop owner wakes up to drain it.
     fn send(&self, ev: Event) {
         let _ = self.events.send(ev);
+        self.notify();
+    }
+
+    /// [`Self::send`] for a match batch: a full event queue means a slow
+    /// client, so block (bounded memory) and count the stall.
+    fn send_matches(&self, global: &GlobalMetrics, found: Vec<StreamMatch>) {
+        if let Err(TrySendError::Full(ev)) = self.events.try_send(Event::Matches(found)) {
+            global.record_stall();
+            let _ = self.events.send(ev);
+        }
+        self.notify();
+    }
+
+    fn notify(&self) {
         if let Some(n) = &self.notify {
             n();
         }
@@ -574,12 +574,7 @@ fn run_worker(
                                 .record_chunk(data.len() as u64, found.len() as u64);
                             global.record_chunk_done(data.len() as u64, found.len() as u64);
                             if !found.is_empty() {
-                                // Full event queue = slow client; block
-                                // (bounded memory) and count the stall.
-                                if s.events.is_full() {
-                                    global.record_stall();
-                                }
-                                s.send(Event::Matches(found));
+                                s.send_matches(global, found);
                             }
                             if s.progress {
                                 s.send(Event::Progress(s.m.consumed()));

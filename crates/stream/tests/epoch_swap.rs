@@ -8,7 +8,7 @@
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,7 +41,7 @@ fn temp_log(name: &str) -> PathBuf {
 }
 
 /// A store whose committed epoch 1 is `{he, she}`.
-fn seeded_store(log: &PathBuf) -> DictStore {
+fn seeded_store(log: &Path) -> DictStore {
     let mut store = DictStore::open(log).unwrap();
     store.stage_add(&to_symbols("he")).unwrap();
     store.stage_add(&to_symbols("she")).unwrap();

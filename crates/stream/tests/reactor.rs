@@ -3,22 +3,43 @@
 //! `--features fault-injection`) reactor-specific chaos — spurious
 //! wakeups, `epoll_wait` EINTR, and accept-queue overflow.
 //!
-//! Serve modes are pinned per test (not read from `PDM_SERVE_MODE`), so
-//! this suite is deterministic under the CI differential legs.
+//! Every test holds `FAULT_LOCK`: the fault plan is process-global, so a
+//! chaos plan would otherwise fire on a concurrent test's server.
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pdm_core::dict::symbolize;
 use pdm_core::static1d::StaticMatcher;
 use pdm_pram::Ctx;
+use pdm_stream::faults;
 use pdm_stream::proto::{
     decode_stats, decode_summary, read_frame, write_frame, TAG_CHUNK, TAG_CLOSE, TAG_ERROR,
     TAG_MATCH, TAG_STATS, TAG_STATS_RESP, TAG_SUMMARY,
 };
-use pdm_stream::{GlobalSnapshot, ServeMode, Server, ServerConfig, ServiceConfig};
+use pdm_stream::{GlobalSnapshot, Server, ServerConfig, ServiceConfig};
+
+static FAULT_LOCK: Mutex<()> = Mutex::new(());
+
+/// Holds [`FAULT_LOCK`] with no fault plan installed; clears the plan
+/// again on drop.
+struct Serial {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Serial {
+    fn drop(&mut self) {
+        faults::clear();
+    }
+}
+
+fn serial() -> Serial {
+    let lock = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    faults::clear();
+    Serial { _lock: lock }
+}
 
 fn dict() -> Arc<StaticMatcher> {
     let ctx = Ctx::seq();
@@ -32,7 +53,6 @@ fn reactor_cfg() -> ServerConfig {
             queue_cap: 4,
             ..Default::default()
         },
-        serve_mode: ServeMode::Reactor,
         reactors: 2,
         ..Default::default()
     }
@@ -95,6 +115,7 @@ fn run_session(sock: TcpStream) -> Result<u64, String> {
 /// the listener sees one burst; every connection must still be served.
 #[test]
 fn burst_accept_drains_simultaneous_connections() {
+    let _g = serial();
     const N: usize = 40;
     let server = start(reactor_cfg());
     let socks: Vec<TcpStream> = (0..N).map(|_| connect(&server)).collect();
@@ -113,10 +134,11 @@ fn burst_accept_drains_simultaneous_connections() {
     server.shutdown();
 }
 
-/// Satellite: reactor-tier counters are populated in reactor mode and a
-/// `TAG_STATS` frame returns the same snapshot over the wire.
+/// Satellite: reactor-tier counters are populated and a `TAG_STATS`
+/// frame returns the same snapshot over the wire.
 #[test]
 fn reactor_metrics_and_stats_frame() {
+    let _g = serial();
     let server = start(reactor_cfg());
     run_session(connect(&server)).expect("session");
     wait_for(&server, "session closed", |m| m.sessions_closed == 1);
@@ -132,12 +154,10 @@ fn reactor_metrics_and_stats_frame() {
     let mut w = sock.try_clone().unwrap();
     write_frame(&mut w, TAG_STATS, b"").unwrap();
     let mut r = BufReader::new(sock);
-    let wire = loop {
-        match read_frame(&mut r).unwrap() {
-            Some((TAG_STATS_RESP, p)) => break decode_stats(&p).expect("decodable stats"),
-            Some((tag, _)) => panic!("unexpected frame {tag:#x}"),
-            None => panic!("closed before stats reply"),
-        }
+    let wire = match read_frame(&mut r).unwrap() {
+        Some((TAG_STATS_RESP, p)) => decode_stats(&p).expect("decodable stats"),
+        Some((tag, _)) => panic!("unexpected frame {tag:#x}"),
+        None => panic!("closed before stats reply"),
     };
     assert_eq!(wire.sessions_closed, 1, "{wire:?}");
     assert!(wire.frames_decoded >= 2, "{wire:?}");
@@ -145,41 +165,11 @@ fn reactor_metrics_and_stats_frame() {
     server.shutdown();
 }
 
-/// The blocking tier stays selectable; it serves correctly and leaves the
-/// reactor counters untouched.
-#[test]
-fn threaded_mode_explicitly_selectable() {
-    let cfg = ServerConfig {
-        serve_mode: ServeMode::Threaded,
-        ..reactor_cfg()
-    };
-    let server = start(cfg);
-    run_session(connect(&server)).expect("threaded session");
-    wait_for(&server, "session closed", |m| m.sessions_closed == 1);
-    let snap = server.metrics();
-    assert_eq!(snap.reactor_wakeups, 0, "{snap:?}");
-    assert_eq!(snap.frames_decoded, 0, "{snap:?}");
-
-    // TAG_STATS answers in threaded mode too (pdm stats works either way).
-    let sock = connect(&server);
-    let mut w = sock.try_clone().unwrap();
-    write_frame(&mut w, TAG_STATS, b"").unwrap();
-    let mut r = BufReader::new(sock);
-    match read_frame(&mut r).unwrap() {
-        Some((TAG_STATS_RESP, p)) => {
-            let wire = decode_stats(&p).expect("decodable stats");
-            assert_eq!(wire.sessions_closed, 1, "{wire:?}");
-        }
-        other => panic!("expected stats reply, got {other:?}"),
-    }
-    server.shutdown();
-}
-
-/// Idle reaping in reactor mode goes through the timer wheel: the conn
-/// gets the same terminal error as threaded mode, and the wheel's
-/// expiration counter ticks.
+/// Idle reaping goes through the timer wheel: the conn gets a timeout
+/// error frame, and the wheel's expiration counter ticks.
 #[test]
 fn idle_timeout_fires_through_timer_wheel() {
+    let _g = serial();
     let cfg = ServerConfig {
         read_timeout: Some(Duration::from_millis(80)),
         ..reactor_cfg()
@@ -213,31 +203,13 @@ fn idle_timeout_fires_through_timer_wheel() {
 #[cfg(feature = "fault-injection")]
 mod chaos {
     use super::*;
-    use pdm_stream::faults::{self, FaultConfig};
-    use std::sync::{Mutex, PoisonError};
-
-    /// The fault plan is process-global: serialize and clear.
-    static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-    struct ChaosGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-    impl Drop for ChaosGuard<'_> {
-        fn drop(&mut self) {
-            faults::clear();
-        }
-    }
-
-    fn chaos() -> ChaosGuard<'static> {
-        let g = CHAOS_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        faults::clear();
-        ChaosGuard(g)
-    }
+    use pdm_stream::faults::FaultConfig;
 
     /// Spurious wakeups and EINTR'd waits must be invisible: sessions
     /// complete exactly, and the injected faults demonstrably fired.
     #[test]
     fn survives_spurious_wakeups_and_eintr() {
-        let _g = chaos();
+        let _g = serial();
         faults::install(FaultConfig {
             spurious_wake_every: 2,
             spurious_wake_max: 10_000,
@@ -261,7 +233,7 @@ mod chaos {
     /// listener: later connections are served normally.
     #[test]
     fn accept_overflow_drops_conn_and_keeps_accepting() {
-        let _g = chaos();
+        let _g = serial();
         faults::install(FaultConfig {
             accept_overflow_every: 3,
             accept_overflow_max: 2,

@@ -11,7 +11,7 @@
 # index_throughput (build seq MB/s and
 # merged-query seq kqps), BENCH_snap.json -> snap_coldstart (sidecar
 # decode MB/s), BENCH_conns.json -> conn_scale (per-leg MB/s across the
-# reactor/threaded connection ladder).
+# reactor connection ladder).
 #
 # Usage: scripts/check_bench_regression.sh [baseline.json]
 set -euo pipefail

@@ -85,9 +85,6 @@ pub enum Command {
         max_conns: usize,
         /// How long shutdown waits for in-flight sessions before force-closing.
         drain_deadline_ms: u64,
-        /// `--serve-mode reactor|threaded`; `None` = the library default
-        /// (reactor, overridable via `PDM_SERVE_MODE`).
-        serve_mode: Option<pdm_stream::ServeMode>,
         /// `--reactors N`: reactor threads; 0 = auto (one per core, ≤ 8).
         reactors: usize,
     },
@@ -180,7 +177,7 @@ USAGE:
   pdm prefix --dict <file> --text <file> [--threads N]
   pdm serve  --dict <file> --port <n> [--workers N] [--queue-cap Q]
              [--read-timeout-ms T] [--max-conns C] [--drain-deadline-ms D]
-             [--serve-mode reactor|threaded] [--reactors N]
+             [--reactors N]
   pdm serve  --dict-log <file> --port <n> [--dict <seed>] [...]
   pdm stats  --dict <file> | --index <file> | --addr <host:port>
   pdm dict   add    --pattern <text> (--log <file> | --addr <host:port>)
@@ -210,15 +207,12 @@ one connection = one stream session over a shared dictionary.
 `--max-conns` load-sheds arrivals beyond the cap with a busy error frame
 (0 = unlimited); `--drain-deadline-ms` bounds the graceful drain on
 shutdown (default 5000).
-`--serve-mode` picks the serving tier: `reactor` (the default) runs a
-fixed pool of epoll event loops owning all connections — tens of
-thousands of concurrent sessions on a handful of threads — while
-`threaded` spawns two OS threads per connection (the original tier, kept
-for comparison and as a fallback). `--reactors N` sizes the reactor pool
-(0 = one per core, capped at 8). `pdm stats --addr host:port` asks a
-running server for its live global counters (sessions, frames decoded,
-reactor wakeups, partial writes, timer expirations, …) over the same
-frame protocol.
+A fixed pool of epoll event loops owns all connections — tens of
+thousands of concurrent sessions on a handful of threads; `--reactors N`
+sizes the pool (0 = one per core, capped at 8).
+`pdm stats --addr host:port` asks a running server for its live global
+counters (sessions, frames decoded, reactor wakeups, partial writes,
+timer expirations, …) over the same frame protocol.
 `index` builds the offline suffix-array sidecar (pdm-index, PDMX format,
 CRC-verified on load); `query` answers a batch of patterns (one per line)
 against it without touching the corpus again — per-pattern counts by
@@ -286,7 +280,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
     let mut read_timeout_ms = 0u64;
     let mut max_conns = 0usize;
     let mut drain_deadline_ms = 5000u64;
-    let mut serve_mode = None;
     let mut reactors = 0usize;
     let mut dict_log = None;
     let mut log = None;
@@ -379,17 +372,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                     .parse()
                     .map_err(|_| UsageError("--drain-deadline-ms wants an integer".into()))?
             }
-            "--serve-mode" => {
-                serve_mode = Some(match need("--serve-mode")?.as_str() {
-                    "reactor" => pdm_stream::ServeMode::Reactor,
-                    "threaded" => pdm_stream::ServeMode::Threaded,
-                    other => {
-                        return Err(UsageError(format!(
-                            "--serve-mode must be reactor or threaded, not {other}"
-                        )))
-                    }
-                })
-            }
             "--reactors" => {
                 reactors = need("--reactors")?
                     .parse()
@@ -478,7 +460,6 @@ pub fn parse(args: &[String]) -> Result<Command, UsageError> {
                 read_timeout_ms,
                 max_conns,
                 drain_deadline_ms,
-                serve_mode,
                 reactors,
             })
         }
@@ -1158,7 +1139,6 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
             read_timeout_ms,
             max_conns,
             drain_deadline_ms,
-            serve_mode,
             reactors,
         } => {
             let ctx = Ctx::par();
@@ -1173,13 +1153,8 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                     .then(|| std::time::Duration::from_millis(read_timeout_ms)),
                 max_conns,
                 drain_deadline: std::time::Duration::from_millis(drain_deadline_ms),
-                serve_mode: serve_mode.unwrap_or_default(),
                 reactors,
                 ..Default::default()
-            };
-            let mode = match cfg.serve_mode {
-                pdm_stream::ServeMode::Reactor => "reactor",
-                pdm_stream::ServeMode::Threaded => "threaded",
             };
             let (server, banner) = if let Some(log) = dict_log {
                 let store = match open_seeded_store(&log, dict.as_ref(), &ctx, w)? {
@@ -1234,7 +1209,7 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
             };
             writeln!(
                 w,
-                "{banner} {} ({mode} mode; protocol: pdm_stream::proto; ^C to stop)",
+                "{banner} {} (protocol: pdm_stream::proto; ^C to stop)",
                 server.local_addr()
             )?;
             w.flush()?;
@@ -2229,7 +2204,6 @@ mod tests {
                 read_timeout_ms: 250,
                 max_conns: 32,
                 drain_deadline_ms: 1500,
-                serve_mode: None,
                 reactors: 0,
             }
         );
@@ -2456,55 +2430,18 @@ mod tests {
     }
 
     #[test]
-    fn parses_serve_mode_reactors_and_stats_addr() {
+    fn parses_reactors_and_stats_addr() {
         let c = parse(&args(&[
             "serve",
             "--dict",
             "d",
             "--port",
             "7700",
-            "--serve-mode",
-            "threaded",
             "--reactors",
             "4",
         ]))
         .unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                serve_mode: Some(pdm_stream::ServeMode::Threaded),
-                reactors: 4,
-                ..
-            }
-        ));
-        let c = parse(&args(&[
-            "serve",
-            "--dict",
-            "d",
-            "--port",
-            "1",
-            "--serve-mode",
-            "reactor",
-        ]))
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Serve {
-                serve_mode: Some(pdm_stream::ServeMode::Reactor),
-                reactors: 0,
-                ..
-            }
-        ));
-        assert!(parse(&args(&[
-            "serve",
-            "--dict",
-            "d",
-            "--port",
-            "1",
-            "--serve-mode",
-            "green"
-        ]))
-        .is_err());
+        assert!(matches!(c, Command::Serve { reactors: 4, .. }));
 
         let c = parse(&args(&["stats", "--addr", "127.0.0.1:7700"])).unwrap();
         assert_eq!(
@@ -2531,10 +2468,7 @@ mod tests {
         let server = pdm_stream::Server::bind(
             ("127.0.0.1", 0),
             std::sync::Arc::new(m),
-            pdm_stream::ServerConfig {
-                serve_mode: pdm_stream::ServeMode::Reactor,
-                ..Default::default()
-            },
+            pdm_stream::ServerConfig::default(),
         )
         .unwrap();
         let addr = server.local_addr().to_string();
