@@ -5,8 +5,9 @@
 //! are built for):
 //!
 //! * **build** — suffix-array + LCP construction MB/s, sequential and at
-//!   pool widths 1 / 2 / max (the prefix-doubling schedule of
-//!   `pdm_index::sa` over the radix/scan substrate);
+//!   pool widths 1 / 2 / max (sequential SA-IS in `pdm_index::sa`; the
+//!   pool width reaches only the blocked Φ-array LCP pass in
+//!   `pdm_index::lcp`);
 //! * **query** — batch throughput in kilo-patterns/s for a prefix-sharing
 //!   batch, with interval merging on and off, same widths;
 //! * **crossover** — against the streaming baseline (`pdm_baselines`

@@ -24,20 +24,32 @@
 //! surface as one [`CodecError`] shape instead of silently wrong match
 //! results. The bytes are unchanged from the pre-codec writer: existing
 //! sidecars stay readable.
+//!
+//! A CRC only proves the bytes are the ones written. [`decode`] also
+//! checks, in `O(n)`, that the suffix array is the corpus's
+//! ([`sa::check_suffix_array`]) and that every LCP value fits its suffix
+//! pair, so a sidecar written wrong — by a bug or by hand — is refused at
+//! load instead of panicking in a query or answering wrong counts.
 
-use crate::CorpusIndex;
+use crate::{sa, CorpusIndex};
 use pdm_primitives::codec::{self, CodecError};
 
 pub const MAGIC: [u8; 4] = *b"PDMX";
 pub const VERSION: u32 = 1;
 const HEADER_LEN: usize = 20;
 
-/// Everything that can go wrong reading a sidecar: one format-specific
-/// check, plus the shared codec failures (magic, version, truncation, CRC).
+/// Everything that can go wrong reading a sidecar: the format-specific
+/// checks, plus the shared codec failures (magic, version, truncation, CRC).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiskError {
     /// `sym_width` was neither 1 nor 4.
     BadSymWidth(u32),
+    /// The suffix array is not the corpus's; `rank` is the first entry
+    /// found wrong ([`sa::check_suffix_array`]).
+    BadSuffixArray { rank: usize },
+    /// `lcp[rank]` is nonzero at rank 0 or longer than the shorter suffix
+    /// of its pair.
+    BadLcp { rank: usize },
     /// Framing or checksum failure from the shared sidecar codec.
     Corrupt(CodecError),
 }
@@ -46,6 +58,10 @@ impl std::fmt::Display for DiskError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::BadSymWidth(w) => write!(f, "invalid symbol width {w} (expected 1 or 4)"),
+            Self::BadSuffixArray { rank } => {
+                write!(f, "index suffix array is not the corpus's (rank {rank})")
+            }
+            Self::BadLcp { rank } => write!(f, "index LCP value out of range (rank {rank})"),
             Self::Corrupt(e) => write!(f, "index {e}"),
         }
     }
@@ -55,7 +71,7 @@ impl std::error::Error for DiskError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Corrupt(e) => Some(e),
-            Self::BadSymWidth(_) => None,
+            Self::BadSymWidth(_) | Self::BadSuffixArray { .. } | Self::BadLcp { .. } => None,
         }
     }
 }
@@ -143,7 +159,23 @@ pub fn decode(bytes: &[u8]) -> Result<CorpusIndex, DiskError> {
     let sa: Vec<u32> = (0..n).map(|i| read_u32(payload, at + 4 * i)).collect();
     at += 4 * n;
     let lcp: Vec<u32> = (0..n).map(|i| read_u32(payload, at + 4 * i)).collect();
+    sa::check_suffix_array(&text, &sa).map_err(|rank| DiskError::BadSuffixArray { rank })?;
+    check_lcp(&sa, &lcp).map_err(|rank| DiskError::BadLcp { rank })?;
     Ok(CorpusIndex { text, sa, lcp })
+}
+
+/// `lcp[0] = 0`, and no `lcp[r]` is longer than the shorter suffix of its
+/// pair: `lcp[r] ≤ n − max(sa[r−1], sa[r])`. `sa` must be a valid suffix
+/// array. Returns the first rank that breaks this.
+fn check_lcp(sa: &[u32], lcp: &[u32]) -> Result<(), usize> {
+    let n = sa.len();
+    if lcp.first().is_some_and(|&l| l != 0) {
+        return Err(0);
+    }
+    match (1..n).find(|&r| lcp[r] as usize > n - sa[r - 1].max(sa[r]) as usize) {
+        Some(r) => Err(r),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -227,6 +259,47 @@ mod tests {
         let idx = CorpusIndex::build(&Ctx::seq(), Vec::new());
         let back = decode(&encode(&idx)).expect("empty round trip");
         assert!(back.text.is_empty() && back.sa.is_empty() && back.lcp.is_empty());
+    }
+
+    /// A sidecar whose framing and CRC are valid but whose arrays are not
+    /// the corpus's: `encode` CRCs whatever it is given.
+    fn malformed(edit: impl FnOnce(&mut CorpusIndex)) -> Result<CorpusIndex, DiskError> {
+        let mut idx = CorpusIndex::build_from_bytes(&Ctx::seq(), b"abracadabra");
+        edit(&mut idx);
+        decode(&encode(&idx))
+    }
+
+    #[test]
+    fn rejects_crc_valid_malformed_suffix_arrays() {
+        let n = "abracadabra".len() as u32;
+        assert_eq!(
+            malformed(|i| i.sa[3] = n + 7),
+            Err(DiskError::BadSuffixArray { rank: 3 })
+        );
+        assert_eq!(
+            malformed(|i| i.sa[5] = i.sa[4]),
+            Err(DiskError::BadSuffixArray { rank: 5 })
+        );
+        // A swap also breaks pairs whose successor suffixes moved, so the
+        // first failure may come before the swapped ranks.
+        assert!(matches!(
+            malformed(|i| i.sa.swap(6, 7)),
+            Err(DiskError::BadSuffixArray { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_out_of_range_lcp_values() {
+        assert_eq!(
+            malformed(|i| i.lcp[0] = 1),
+            Err(DiskError::BadLcp { rank: 0 })
+        );
+        // Rank 1 pairs "a" (position 10) with "abra" (position 7): at most 1.
+        let err = malformed(|i| {
+            assert_eq!((i.sa[0], i.sa[1], i.lcp[1]), (10, 7, 1));
+            i.lcp[1] = 2;
+        });
+        assert_eq!(err, Err(DiskError::BadLcp { rank: 1 }));
     }
 
     /// The codec port must not change a single byte of the format:

@@ -1,19 +1,26 @@
-//! LCP array construction: blocked-parallel Kasai.
+//! LCP array construction: the blocked-parallel Φ-array algorithm.
 //!
 //! `lcp[r]` is the length of the longest common prefix of the suffixes at
-//! `sa[r-1]` and `sa[r]` (`lcp[0] = 0`). Kasai's algorithm walks text
-//! positions in order, maintaining the invariant `plcp[i] ≥ plcp[i-1] − 1`
-//! so the per-position extension loop amortizes to `O(n)` — but that
-//! running `h` makes it sequential. The parallel variant here splits the
-//! position range into per-task blocks: each block restarts `h` at 0 (a
-//! valid, merely weaker, lower bound — correctness is untouched) and runs
-//! Kasai within the block. Worst-case work grows by one full comparison per
-//! block; with blocks of `n / p` positions that is `O(n + p · maxlcp)` —
-//! indistinguishable from `O(n)` at realistic widths.
+//! `sa[r-1]` and `sa[r]` (`lcp[0] = 0`). The Φ algorithm of Kärkkäinen,
+//! Manzini and Puglisi (CPM 2009) first stores each suffix's predecessor in
+//! suffix order, `Φ[sa[r]] = sa[r−1]`, then computes the permuted LCP
+//! `plcp[i] = lcp(i, Φ[i])` for text positions in order. Like Kasai's, the
+//! walk keeps the invariant `plcp[i] ≥ plcp[i-1] − 1`, so the running `h`
+//! extends by `O(n)` comparisons in total. Unlike Kasai's, it reads `Φ[i]`
+//! sequentially instead of a random `sa[rank[i] − 1]`, and overwrites `Φ`
+//! with `plcp` in place. A last pass gathers `lcp[r] = plcp[sa[r]]`.
+//!
+//! The running `h` makes the walk sequential, so it is split into per-task
+//! blocks of text positions: each block restarts `h` at 0 (a valid, merely
+//! weaker, lower bound; correctness is untouched). Worst-case work grows by
+//! one full comparison per block; with blocks of `n / p` positions that is
+//! `O(n + p · maxlcp)`, indistinguishable from `O(n)` at realistic widths.
 
-use crate::sa::SendPtr;
 use pdm_pram::Ctx;
 use rayon::prelude::*;
+
+/// `Φ` of the smallest suffix, which has no predecessor.
+const NONE: u32 = u32::MAX;
 
 /// Build the LCP array for `text` and its suffix array `sa`.
 pub fn build_lcp(ctx: &Ctx, text: &[u32], sa: &[u32]) -> Vec<u32> {
@@ -22,16 +29,12 @@ pub fn build_lcp(ctx: &Ctx, text: &[u32], sa: &[u32]) -> Vec<u32> {
     if n == 0 {
         return Vec::new();
     }
-    // Inverse permutation: rank[i] = r with sa[r] = i.
-    let mut rank = vec![0u32; n];
-    {
-        let rank_ptr = SendPtr(rank.as_mut_ptr());
-        ctx.for_each(n, |r| {
-            #[allow(clippy::redundant_locals)]
-            let rank_ptr = rank_ptr;
-            // SAFETY: `sa` is a permutation, so writes are disjoint.
-            unsafe { *rank_ptr.0.add(sa[r] as usize) = r as u32 };
-        });
+    // Φ[sa[r]] = sa[r−1]: one PRAM round of disjoint writes, run on one
+    // host thread so that a malformed `sa` panics instead of racing.
+    let mut phi = vec![NONE; n];
+    ctx.cost.round(n as u64);
+    for w in sa.windows(2) {
+        phi[w[1] as usize] = w[0];
     }
 
     let threads = if ctx.is_parallel() {
@@ -40,46 +43,57 @@ pub fn build_lcp(ctx: &Ctx, text: &[u32], sa: &[u32]) -> Vec<u32> {
         1
     };
     let block = n.div_ceil(threads).max(4096);
-    let nblocks = n.div_ceil(block);
-    let mut lcp = vec![0u32; n];
     ctx.cost.round(n as u64);
-    {
-        let lcp_ptr = SendPtr(lcp.as_mut_ptr());
-        ctx.install(|| {
-            (0..nblocks).into_par_iter().for_each(|b| {
-                #[allow(clippy::redundant_locals)]
-                let lcp_ptr = lcp_ptr;
+    ctx.install(|| {
+        phi.par_chunks_mut(block)
+            .enumerate()
+            .for_each(|(b, chunk)| {
                 let lo = b * block;
-                let hi = (lo + block).min(n);
                 let mut h = 0usize;
-                for i in lo..hi {
-                    let r = rank[i] as usize;
-                    if r == 0 {
+                for (i, slot) in (lo..).zip(chunk.iter_mut()) {
+                    let j = *slot;
+                    if j == NONE {
                         h = 0;
+                        *slot = 0;
                         continue;
                     }
-                    let j = sa[r - 1] as usize;
+                    let j = j as usize;
                     while i + h < n && j + h < n && text[i + h] == text[j + h] {
                         h += 1;
                     }
-                    // SAFETY: each text position i owns exactly one output
-                    // slot (rank is a permutation), so writes are disjoint.
-                    unsafe { *lcp_ptr.0.add(r) = h as u32 };
+                    *slot = h as u32;
                     h = h.saturating_sub(1);
                 }
             });
-        });
-    }
-    lcp
+    });
+    let plcp = phi;
+    ctx.map(n, |r| plcp[sa[r] as usize])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sa::build_suffix_array;
+    use pdm_textgen::{corpus, strings};
 
     fn naive_lcp(a: &[u32], b: &[u32]) -> u32 {
         a.iter().zip(b).take_while(|(x, y)| x == y).count() as u32
+    }
+
+    fn assert_naive(ctx: &Ctx, t: &[u32], what: &str) {
+        let sa = build_suffix_array(ctx, t);
+        let lcp = build_lcp(ctx, t, &sa);
+        assert_eq!(lcp.len(), t.len());
+        for r in 1..t.len() {
+            assert_eq!(
+                lcp[r],
+                naive_lcp(&t[sa[r - 1] as usize..], &t[sa[r] as usize..]),
+                "r={r} {what}"
+            );
+        }
+        if !t.is_empty() {
+            assert_eq!(lcp[0], 0);
+        }
     }
 
     #[test]
@@ -95,20 +109,18 @@ mod tests {
                         (x % sigma) as u32
                     })
                     .collect();
-                let sa = build_suffix_array(&ctx, &t);
-                let lcp = build_lcp(&ctx, &t, &sa);
-                assert_eq!(lcp.len(), n);
-                for r in 1..n {
-                    assert_eq!(
-                        lcp[r],
-                        naive_lcp(&t[sa[r - 1] as usize..], &t[sa[r] as usize..]),
-                        "r={r} n={n} σ={sigma}"
-                    );
-                }
-                if n > 0 {
-                    assert_eq!(lcp[0], 0);
-                }
+                assert_naive(&ctx, &t, &format!("n={n} σ={sigma}"));
             }
+        }
+    }
+
+    /// Long repeats and several blocks per width: the per-block restart of
+    /// `h` must not change a value.
+    #[test]
+    fn matches_naive_on_genome_corpus() {
+        let t = corpus::genome_default(&mut strings::rng(5), 64 << 10);
+        for ctx in [Ctx::seq(), Ctx::with_threads(4)] {
+            assert_naive(&ctx, &t, "genome_default");
         }
     }
 }

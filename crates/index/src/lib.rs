@@ -8,15 +8,13 @@
 //! array (+ LCP), then answer each batch with binary searches — no rebuild
 //! per batch, `O(|p| log n)` per pattern instead of `O(corpus)` per batch.
 //!
-//! The construction is deliberately a thin layer over the repo's existing
-//! substrate: the prefix-doubling recurrence *is* the KMR naming recurrence
-//! from `pdm-naming` with an order-preserving codomain
-//! ([`sa`] module docs), sorted with `pdm-primitives::radix` and re-ranked
-//! with `pdm-primitives::scan`, all on the same vendored-rayon pool and
-//! [`Ctx`] cost model as every matcher.
+//! The build is linear work: a sequential SA-IS suffix array, then an LCP
+//! pass whose blocks run on the same vendored-rayon pool as every matcher.
+//! Both charge the same [`Ctx`] cost model.
 //!
-//! * [`sa`] — parallel suffix-array construction (Manber–Myers doubling);
-//! * [`lcp`] — blocked-parallel Kasai LCP;
+//! * [`sa`] — suffix-array construction by induced sorting (SA-IS), and
+//!   the `O(n)` checker that sidecar loading runs;
+//! * [`lcp`] — blocked-parallel Φ-array LCP;
 //! * [`query`] — batch execution with interval merging for prefix-sharing
 //!   batches, `count` and `locate` modes;
 //! * [`disk`] — the versioned, CRC'd `PDMX` sidecar format.
@@ -50,7 +48,7 @@ pub struct CorpusIndex {
 }
 
 impl CorpusIndex {
-    /// Index `text` at the width of `ctx`.
+    /// Index `text`; the pool width of `ctx` reaches the LCP pass only.
     pub fn build(ctx: &Ctx, text: Vec<u32>) -> Self {
         let sa = sa::build_suffix_array(ctx, &text);
         let lcp = lcp::build_lcp(ctx, &text, &sa);
@@ -107,7 +105,8 @@ impl CorpusIndex {
         disk::encode(self)
     }
 
-    /// Deserialize and CRC-verify a `PDMX` buffer.
+    /// Deserialize and verify a `PDMX` buffer: CRC, then the suffix and LCP
+    /// arrays against the corpus.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DiskError> {
         disk::decode(bytes)
     }

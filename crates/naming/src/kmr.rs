@@ -16,7 +16,6 @@
 //!   text-side work bound of Theorem 1.
 
 use crate::arena::{NameTable, Overlay};
-use pdm_pram::Ctx;
 
 /// Aligned block names of a dictionary string.
 ///
@@ -77,50 +76,6 @@ pub fn text_double_step(prev: &[u32], half: usize, table: &Overlay) -> Vec<u32> 
     let mut out = Vec::new();
     text_double_step_into(prev, half, table, &mut out);
     out
-}
-
-// --- Ordered rank levels (the suffix-array view of the recurrence) -------
-//
-// Dictionary and text naming push `(name_{k−1}(i), name_{k−1}(i+2^{k−1}))`
-// through a namestamping table: names are equal iff blocks are equal, but
-// their integer values carry no order. Suffix-array construction
-// (`pdm-index`) runs the *same* doubling recurrence with an
-// order-preserving codomain instead: pack the pair of previous ranks into
-// one sortable `u64` key, sort, and densely re-rank. These helpers emit the
-// keys so the index crate is a sort-and-rescan loop over this module's
-// recurrence rather than a from-scratch suffix-array port.
-
-/// Level-0 ordered keys: `out[i] = (symbol(i) + 1, i)`. Sorting by key and
-/// densely re-ranking yields `rank_0`, the ordered counterpart of the
-/// symbol naming in [`text_symbol_names_into`]. One PRAM round, `O(n)`
-/// work; the buffer is cleared first and its capacity reused across calls.
-pub fn symbol_rank_keys_into(ctx: &Ctx, t: &[u32], out: &mut Vec<(u64, u32)>) {
-    out.clear();
-    out.resize(t.len(), (0, 0));
-    ctx.for_each_mut(out, |i, slot| *slot = (u64::from(t[i]) + 1, i as u32));
-}
-
-/// One ordered doubling step: given dense `prev[i]` ranking `t[i .. i+half]`
-/// (ranks equal iff blocks equal, ordered as the blocks are), emit for every
-/// suffix `i` the key `(prev[i], prev[i+half])` packed high/low into a
-/// `u64`, with suffixes shorter than `2·half` taking 0 in the low half —
-/// rank values are stored `+1` so the out-of-range 0 sorts first, realizing
-/// the shorter-suffix-first convention of suffix order. Sorting these keys
-/// and densely re-ranking yields `rank_k` exactly as
-/// [`text_double_step_into`] yields `name_k`. One PRAM round, `O(n)` work.
-pub fn rank_pair_keys_into(ctx: &Ctx, prev: &[u32], half: usize, out: &mut Vec<(u64, u32)>) {
-    let n = prev.len();
-    out.clear();
-    out.resize(n, (0, 0));
-    ctx.for_each_mut(out, |i, slot| {
-        let hi = u64::from(prev[i]) + 1;
-        let lo = if i + half < n {
-            u64::from(prev[i + half]) + 1
-        } else {
-            0
-        };
-        *slot = ((hi << 32) | lo, i as u32);
-    });
 }
 
 #[cfg(test)]
@@ -218,31 +173,6 @@ mod tests {
         let l0 = text_symbol_names(&[1], &ov_sym);
         let ov1 = Overlay::new(&pair[0], 8, tp);
         assert!(text_double_step(&l0, 1, &ov1).is_empty());
-    }
-
-    #[test]
-    fn rank_keys_follow_suffix_order() {
-        // Sorting the level-0 keys of "banana" orders positions by symbol;
-        // one doubling step distinguishes "na…" suffixes by what follows.
-        let t: Vec<u32> = vec![1, 0, 2, 0, 2, 0]; // b a n a n a
-        let ctx = Ctx::seq();
-        let mut keys = vec![(9, 9); 2]; // stale contents must vanish
-        symbol_rank_keys_into(&ctx, &t, &mut keys);
-        assert_eq!(keys.len(), 6);
-        assert_eq!(keys[0], (2, 0)); // symbol 1 + 1, position 0
-                                     // Dense level-0 ranks of "banana": a=0, b=1, n=2.
-        let r0: Vec<u32> = vec![1, 0, 2, 0, 2, 0];
-        let mut pairs = Vec::new();
-        rank_pair_keys_into(&ctx, &r0, 1, &mut pairs);
-        // Suffix 5 ("a") has no right half: low part 0 sorts it before
-        // suffix 1/3 ("an…"), the shorter-suffix-first convention.
-        let k5 = pairs[5].0;
-        let k3 = pairs[3].0;
-        assert_eq!(k5 >> 32, k3 >> 32, "same left rank (both start 'a')");
-        assert!(k5 < k3, "shorter suffix sorts first");
-        // Equal blocks get equal keys: suffixes 2 and 4 both start "na".
-        assert_eq!(pairs[2].0, pairs[4].0);
-        assert_eq!((pairs[2].1, pairs[4].1), (2, 4));
     }
 
     #[test]

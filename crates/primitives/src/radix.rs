@@ -21,11 +21,9 @@ pub fn radix_sort_by_key(ctx: &Ctx, records: &[(u64, u32)]) -> Vec<(u64, u32)> {
     recs
 }
 
-/// In-place variant of [`radix_sort_by_key`] for hot loops that sort every
-/// iteration (suffix-array doubling): `records` is sorted in place and
-/// `scratch` is (re)used as the ping-pong buffer, so steady-state sorting
-/// allocates nothing once both vectors have grown to size.
-pub fn radix_sort_by_key_in_place(
+/// In-place core of [`radix_sort_by_key`]: `records` is sorted in place and
+/// `scratch` is (re)used as the ping-pong buffer.
+fn radix_sort_by_key_in_place(
     ctx: &Ctx,
     records: &mut Vec<(u64, u32)>,
     scratch: &mut Vec<(u64, u32)>,

@@ -213,10 +213,13 @@ sizes the pool (0 = one per core, capped at 8).
 `pdm stats --addr host:port` asks a running server for its live global
 counters (sessions, frames decoded, reactor wakeups, partial writes,
 timer expirations, …) over the same frame protocol.
-`index` builds the offline suffix-array sidecar (pdm-index, PDMX format,
-CRC-verified on load); `query` answers a batch of patterns (one per line)
-against it without touching the corpus again — per-pattern counts by
-default, `--locate` for every occurrence as <offset>\\t<pattern>\\t<text>.
+`index` builds the offline suffix-array sidecar (pdm-index, PDMX format;
+on load the CRC is verified and the suffix array checked against the
+corpus). The suffix array is built sequentially in linear time (SA-IS);
+`--threads` parallelizes only the LCP pass and the queries. `query`
+answers a batch of patterns (one per line) against it without touching
+the corpus again — per-pattern counts by default, `--locate` for every
+occurrence as <offset>\\t<pattern>\\t<text>.
 `gen --corpus genome|log` emits the indexing-workload corpus shapes;
 `--patterns-out` samples a prefix-sharing query batch from the corpus.
 `serve --dict-log` enables live dictionary updates: the dictionary lives
@@ -2046,6 +2049,67 @@ mod tests {
         let mut out = Vec::new();
         assert_eq!(run_fsck(None, Some(ipath_s), true, &mut out).unwrap(), 0);
         assert!(!ipath.exists(), "quarantined away");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// CRC-valid sidecars whose suffix array is not the corpus's: `query`
+    /// refuses them (exit 2) and `fsck` flags (exit 1) and quarantines them,
+    /// with no panic.
+    #[test]
+    fn query_and_fsck_refuse_malformed_suffix_arrays() {
+        let dir = std::env::temp_dir().join(format!("pdm-cli-badsa-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ppath = dir.join("patterns.txt");
+        std::fs::write(&ppath, "abr\nra\n").unwrap();
+        let ppath: String = ppath.to_string_lossy().into();
+        let good = pdm_index::CorpusIndex::build_from_bytes(&Ctx::seq(), b"abracadabra");
+        let mut out_of_range = good.clone();
+        out_of_range.sa[3] = good.len() as u32 + 7;
+        let mut duplicated = good.clone();
+        duplicated.sa[5] = duplicated.sa[4];
+        let mut swapped = good;
+        swapped.sa.swap(6, 7);
+        for (name, bad) in [
+            ("out-of-range", out_of_range),
+            ("duplicated", duplicated),
+            ("swapped", swapped),
+        ] {
+            let ipath = dir.join(format!("{name}.pdmx"));
+            bad.write_to(&ipath).unwrap();
+            let ipath: String = ipath.to_string_lossy().into();
+
+            let mut out = Vec::new();
+            let code = run(
+                Command::Query {
+                    index: ipath.clone(),
+                    patterns: ppath.clone(),
+                    threads: Some(2),
+                    locate: false,
+                    no_merge: false,
+                    verify: false,
+                },
+                &mut out,
+            )
+            .unwrap();
+            let s = String::from_utf8(out).unwrap();
+            assert_eq!(code, 2, "{name}: {s}");
+            assert!(s.contains("suffix array"), "{name}: {s}");
+
+            let mut out = Vec::new();
+            assert_eq!(
+                run_fsck(None, Some(ipath.clone()), false, &mut out).unwrap(),
+                1,
+                "{name}"
+            );
+            let mut out = Vec::new();
+            assert_eq!(
+                run_fsck(None, Some(ipath.clone()), true, &mut out).unwrap(),
+                0
+            );
+            let s = String::from_utf8(out).unwrap();
+            assert!(s.contains("quarantined"), "{name}: {s}");
+            assert!(!std::path::Path::new(&ipath).exists(), "{name}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
