@@ -12,8 +12,13 @@
 //!    Publishing is a pointer swap, so the committed-to-visible latency
 //!    should track the rebuild cost alone.
 //!
-//! Usage: `dict_swap [out.json]` (default `BENCH_dict.json`).
-//! `PDM_BENCH_SMOKE=1` shrinks sizes and runs for CI smoke coverage.
+//! Usage: `dict_swap [out.json] [--check baseline.json]` (default
+//! `BENCH_dict.json`). `PDM_BENCH_SMOKE=1` shrinks the crossover sizes and
+//! runs for CI smoke coverage; its batch sizes are a subset of the full
+//! run's, so `--check` can compare them. `--check` fails (exit 1) when a
+//! batch's incremental commit takes more than twice its baseline time, or
+//! `swap_under_load.stream_mbps` falls below half its baseline — the same
+//! 50% margin as the other bench guards, read as a rate.
 
 use pdm_core::dict::{to_symbols, Sym};
 use pdm_dict::{DictStore, SnapshotPath};
@@ -67,20 +72,68 @@ fn commit_latency(ctx: &Ctx, runs: usize, base: usize, batch: usize, path: Snaps
     ms(samples[samples.len() / 2])
 }
 
+/// The number after `"key": ` in the first place `anchor` is followed by
+/// `key` (the baselines are this binary's own fixed-format output).
+fn field_after(json: &str, anchor: &str, key: &str) -> Option<f64> {
+    let rest = &json[json.find(anchor)?..];
+    let tag = format!("\"{key}\": ");
+    let rest = &rest[rest.find(&tag)? + tag.len()..];
+    let end = rest
+        .find(|c: char| c != '.' && !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
+}
+
+/// Compare this run against a committed baseline (see module docs).
+fn check(json: &str, base: &str, batches: &[usize]) -> bool {
+    let mut ok = true;
+    for &k in batches {
+        let anchor = format!("{{\"batch\": {k}, ");
+        let cur = field_after(json, &anchor, "incremental_ms").expect("this run has the row");
+        let Some(want) = field_after(base, &anchor, "incremental_ms") else {
+            eprintln!("check: batch {k} missing from baseline, skipping");
+            continue;
+        };
+        if cur > want / 0.5 {
+            eprintln!("check FAIL: batch {k} incremental {cur:.3} ms > 2x baseline {want:.3}");
+            ok = false;
+        } else {
+            eprintln!("check ok:   batch {k} incremental {cur:.3} ms vs baseline {want:.3}");
+        }
+    }
+    let cur = field_after(json, "swap_under_load", "stream_mbps").expect("this run has it");
+    match field_after(base, "swap_under_load", "stream_mbps") {
+        None => eprintln!("check: stream_mbps missing from baseline, skipping"),
+        Some(want) if cur < want * 0.5 => {
+            eprintln!("check FAIL: stream_mbps {cur:.2} < 50% of baseline {want:.2}");
+            ok = false;
+        }
+        Some(want) => eprintln!("check ok:   stream_mbps {cur:.2} vs baseline {want:.2}"),
+    }
+    ok
+}
+
 fn median_ms(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
 }
 
 fn main() {
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_dict.json".into());
+    let mut out_path = String::from("BENCH_dict.json");
+    let mut check_path: Option<String> = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if a == "--check" {
+            check_path = args.next();
+        } else {
+            out_path = a;
+        }
+    }
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let smoke = smoke();
 
     let (base, batches, runs) = if smoke {
-        (64, vec![1usize, 8, 32], 1)
+        (64, vec![1usize, 4, 16], 1)
     } else {
         (512, vec![1usize, 4, 16, 64, 256], 5)
     };
@@ -102,10 +155,9 @@ fn main() {
     }
 
     // --- 2. swap latency while sessions stream --------------------------
-    let sessions = if smoke { 2 } else { 4 };
-    let text_syms: usize = if smoke { 32 << 10 } else { 512 << 10 };
-    let chunk = if smoke { 4 << 10 } else { 64 << 10 };
-    let commits = if smoke { 2 } else { 8 };
+    // Full size in smoke runs too (well under a second), so `--check`
+    // compares like with like.
+    let (sessions, text_syms, chunk, commits) = (4, 512usize << 10, 64 << 10, 8);
 
     let metrics = GlobalMetrics::default();
     // Idle reference: commit+publish with no traffic.
@@ -181,4 +233,12 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write dict json");
     println!("{json}");
     eprintln!("wrote {out_path}");
+
+    if let Some(base_path) = check_path {
+        let base = std::fs::read_to_string(&base_path)
+            .unwrap_or_else(|e| panic!("read baseline {base_path}: {e}"));
+        if !check(&json, &base, &batches) {
+            std::process::exit(1);
+        }
+    }
 }

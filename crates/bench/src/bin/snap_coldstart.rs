@@ -95,7 +95,10 @@ fn main() {
                 let t0 = Instant::now();
                 let snap = Snapshot::from_bytes(&ctx, &bytes).unwrap();
                 let d = ms(t0.elapsed());
-                assert!(snap.matcher().stats().cold_loaded, "load must not rebuild");
+                assert!(
+                    snap.matcher().is_some_and(|m| m.cold_loaded()),
+                    "load must not rebuild"
+                );
                 assert_eq!(snap.pattern_count(), n);
                 std::hint::black_box(snap);
                 d

@@ -35,9 +35,10 @@ pub mod ancestor;
 pub mod trie;
 
 use crate::dict::{PatId, Sym};
-use crate::static1d::{self, MatchOutput, MatchTables, PrefixMatch};
+use crate::static1d::tables::ReadTables;
+use crate::static1d::{self, MatchOutput, MatchTables, PrefixMatch, StaticMatcher, StaticTables};
 use pdm_naming::dynamic::{DynTable, StampList};
-use pdm_naming::{NamePool, IDENTITY};
+use pdm_naming::{FrozenNameTable, NamePool, IDENTITY};
 use pdm_pram::{ceil_log2, Ctx};
 use pdm_primitives::FxHashMap;
 use std::sync::Arc;
@@ -68,11 +69,9 @@ impl std::error::Error for DynError {}
 /// Fully dynamic dictionary matcher (insert + delete + match). Using only
 /// `insert`/`match_text` gives the partly dynamic variant of §6.1.
 ///
-/// Cloning copies every table but shares the name pool (an atomic
-/// allocator), so a clone may be frozen as an immutable snapshot while the
-/// original keeps taking updates — names allocated after the clone never
-/// collide with names visible in the copy.
-#[derive(Debug, Clone)]
+/// [`Self::freeze`] copies the live dictionary into the static matcher's
+/// read-only form, which serves while this matcher keeps taking updates.
+#[derive(Debug)]
 pub struct DynamicMatcher {
     pool: Arc<NamePool>,
     /// `K`: tables exist for levels `1..=levels` (grows with insertions).
@@ -89,6 +88,9 @@ pub struct DynamicMatcher {
     owners: StampList,
     /// Slot per assigned id; `None` = deleted.
     patterns: Vec<Option<Vec<Sym>>>,
+    /// Prefix names per assigned id (empty once deleted): what
+    /// [`Self::freeze`] hands the static form as its `pattern_prefs`.
+    prefs: Vec<Vec<u32>>,
     /// full-prefix name → live pattern.
     name_to_pat: FxHashMap<u32, PatId>,
     live_syms: usize,
@@ -117,6 +119,7 @@ impl DynamicMatcher {
             pref_node: FxHashMap::default(),
             owners: StampList::new(),
             patterns: Vec::new(),
+            prefs: Vec::new(),
             name_to_pat: FxHashMap::default(),
             live_syms: 0,
             total_syms: 0,
@@ -180,6 +183,7 @@ impl DynamicMatcher {
         }
         let pid = self.patterns.len() as PatId;
         self.patterns.push(Some(pattern.to_vec()));
+        self.prefs.push(Vec::new());
         self.insert_into_tables(ctx, pid);
         Ok(pid)
     }
@@ -246,56 +250,62 @@ impl DynamicMatcher {
 
     // ---- internals ---------------------------------------------------------
 
-    /// Aligned block names and prefix names of one pattern, via `name`:
-    /// either allocating+refcounting (insert) or pure lookups (delete).
-    fn names_of(&mut self, pattern: &[Sym], alloc: bool) -> (Vec<Vec<u32>>, Vec<u32>) {
-        let lam = pattern.len();
-        let k_max = pdm_pram::floor_log2(lam) as usize;
-        let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(k_max + 1);
-        blocks.push(
-            pattern
-                .iter()
-                .map(|&c| {
-                    if alloc {
-                        self.sym.name_ref(c, 0)
-                    } else {
-                        self.sym.lookup(c, 0).expect("sym entry present")
-                    }
-                })
-                .collect(),
+    /// Aligned block names and prefix names of a live pattern, by pure
+    /// lookups (every entry is present while the pattern is live).
+    fn lookup_names(&self, pattern: &[Sym]) -> (Vec<Vec<u32>>, Vec<u32>) {
+        dyadic_names(
+            pattern,
+            |c| self.sym.lookup(c, 0).expect("sym entry present"),
+            |k, x, y| self.pair[k - 1].lookup(x, y).expect("pair entry present"),
+            |a, b| self.fold.lookup(a, b).expect("fold entry present"),
+        )
+    }
+
+    /// Freeze the live dictionary into the static matcher's read-only form
+    /// — what a matcher cold-loaded from a snapshot sidecar has: frozen
+    /// copies of the symbol, pair and extension tables up to the live
+    /// `K = ⌈log₂ m⌉`, the Theorem 2 attribution maps, and the prefix
+    /// chains. `order[i]` is the id (from [`Self::insert`]) of the live
+    /// pattern that becomes pattern `i` of the result; it must list every
+    /// live pattern once. Matching through the result is the static text
+    /// side verbatim (Theorems 8 and 10: "as static"), with `O(M)` work to
+    /// freeze and no naming rounds. The result carries no prefilter.
+    pub fn freeze(&self, order: &[PatId]) -> StaticMatcher {
+        assert!(!order.is_empty(), "an empty dictionary has no static form");
+        debug_assert_eq!(
+            order.len(),
+            self.pattern_count(),
+            "order lists every live pattern"
         );
-        for k in 1..=k_max {
-            let cnt = blocks[k - 1].len() / 2;
-            let mut lvl = Vec::with_capacity(cnt);
-            for b in 0..cnt {
-                let (x, y) = (blocks[k - 1][2 * b], blocks[k - 1][2 * b + 1]);
-                lvl.push(if alloc {
-                    self.pair[k - 1].name_ref(x, y)
-                } else {
-                    self.pair[k - 1].lookup(x, y).expect("pair entry present")
-                });
-            }
-            blocks.push(lvl);
-        }
-        // Prefix names (same dyadic left-fold as the static build).
-        let mut prefs = vec![IDENTITY; lam];
-        for l in 1..=lam {
-            let low = l & l.wrapping_neg();
-            let k = low.trailing_zeros() as usize;
-            let hi = l - low;
-            let block = blocks[k][hi / low];
-            prefs[l - 1] = if hi == 0 {
-                block
-            } else {
-                let a = prefs[hi - 1];
-                if alloc {
-                    self.fold.name_ref(a, block)
-                } else {
-                    self.fold.lookup(a, block).expect("fold entry present")
-                }
-            };
-        }
-        (blocks, prefs)
+        let prefs: Vec<Vec<u32>> = order
+            .iter()
+            .map(|&id| {
+                debug_assert!(
+                    self.patterns[id as usize].is_some(),
+                    "order lists live patterns"
+                );
+                self.prefs[id as usize].clone()
+            })
+            .collect();
+        let max_len = prefs.iter().map(Vec::len).max().unwrap_or(0);
+        let levels = ceil_log2(max_len) as usize;
+        debug_assert!(
+            self.pair[levels..].iter().all(DynTable::is_empty)
+                && self.ext[levels + 1..].iter().all(DynTable::is_empty),
+            "levels above the live K hold no entries"
+        );
+        let freeze = |t: &DynTable| FrozenNameTable::from_entries(&t.entries());
+        let read = ReadTables::from_frozen(
+            freeze(&self.sym),
+            self.pair[..levels].iter().map(freeze).collect(),
+            self.ext[..=levels].iter().map(freeze).collect(),
+        );
+        StaticMatcher::from_frozen_tables(StaticTables::from_read_parts(
+            read,
+            prefs,
+            self.fold.len(),
+            self.pool.allocated(),
+        ))
     }
 
     fn insert_into_tables(&mut self, ctx: &Ctx, pid: PatId) {
@@ -312,7 +322,12 @@ impl DynamicMatcher {
         while self.ext.len() < self.levels + 1 {
             self.ext.push(DynTable::new(self.pool.clone()));
         }
-        let (blocks, prefs) = self.names_of(&pattern, true);
+        let (blocks, prefs) = dyadic_names(
+            &pattern,
+            |c| self.sym.name_ref(c, 0),
+            |k, x, y| self.pair[k - 1].name_ref(x, y),
+            |a, b| self.fold.name_ref(a, b),
+        );
         // Extension entries per level.
         for (k, lvl) in blocks.iter().enumerate() {
             for (b, &block) in lvl.iter().enumerate() {
@@ -333,6 +348,7 @@ impl DynamicMatcher {
         }
         self.trie.mark(path[lam - 1], pid);
         self.name_to_pat.insert(prefs[lam - 1], pid);
+        self.prefs[pid as usize] = prefs;
         self.live_syms += lam;
         self.total_syms += lam;
         // PRAM schedule of the insert (Theorem 7): O(log λ) rounds, O(λ) ops.
@@ -342,7 +358,7 @@ impl DynamicMatcher {
     fn release_from_tables(&mut self, ctx: &Ctx, pid: PatId, node: u32) {
         let pattern = self.patterns[pid as usize].clone().expect("live slot");
         let lam = pattern.len();
-        let (blocks, prefs) = self.names_of(&pattern, false);
+        let (blocks, prefs) = self.lookup_names(&pattern);
         // Release in the reverse order of insertion so lookups stay valid
         // while we still need them (they don't — names are all computed —
         // but symmetric order keeps the refcount audit trivial).
@@ -380,6 +396,7 @@ impl DynamicMatcher {
         }
         self.trie.unmark(node);
         self.name_to_pat.remove(&prefs[lam - 1]);
+        self.prefs[pid as usize] = Vec::new();
         self.live_syms -= lam;
         ctx.cost.rounds(ceil_log2(lam) as u64 + 2, 4 * lam as u64);
     }
@@ -410,6 +427,42 @@ impl DynamicMatcher {
             self.insert_into_tables(ctx, pid);
         }
     }
+}
+
+/// Aligned block names and prefix names of one pattern — the static
+/// build's dyadic left-fold — naming symbols, block pairs and fold steps
+/// through the given functions (allocating on insert, looking up
+/// otherwise).
+fn dyadic_names(
+    pattern: &[Sym],
+    mut sym: impl FnMut(Sym) -> u32,
+    mut pair: impl FnMut(usize, u32, u32) -> u32,
+    mut fold: impl FnMut(u32, u32) -> u32,
+) -> (Vec<Vec<u32>>, Vec<u32>) {
+    let lam = pattern.len();
+    let k_max = pdm_pram::floor_log2(lam) as usize;
+    let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(k_max + 1);
+    blocks.push(pattern.iter().map(|&c| sym(c)).collect());
+    for k in 1..=k_max {
+        let prev = &blocks[k - 1];
+        let lvl = (0..prev.len() / 2)
+            .map(|b| pair(k, prev[2 * b], prev[2 * b + 1]))
+            .collect();
+        blocks.push(lvl);
+    }
+    let mut prefs = vec![IDENTITY; lam];
+    for l in 1..=lam {
+        let low = l & l.wrapping_neg();
+        let k = low.trailing_zeros() as usize;
+        let hi = l - low;
+        let block = blocks[k][hi / low];
+        prefs[l - 1] = if hi == 0 {
+            block
+        } else {
+            fold(prefs[hi - 1], block)
+        };
+    }
+    (blocks, prefs)
 }
 
 impl MatchTables for DynamicMatcher {

@@ -78,24 +78,6 @@ impl TextScratch {
     pub fn table_lookups(&self) -> u64 {
         self.lookups
     }
-
-    /// Borrow the reusable [`MatchOutput`] out of the scratch (leaves an
-    /// empty one behind). Pair with [`Self::put_match_out`] so the buffers'
-    /// capacity survives into the next call.
-    pub fn take_match_out(&mut self) -> MatchOutput {
-        std::mem::take(&mut self.match_out)
-    }
-
-    /// Return a [`MatchOutput`] taken via [`Self::take_match_out`].
-    pub fn put_match_out(&mut self, mo: MatchOutput) {
-        self.match_out = mo;
-    }
-
-    /// Reusable per-position chain-expansion buffer (for callers outside
-    /// this crate that walk pattern chains, e.g. snapshot matching).
-    pub fn pats_here_mut(&mut self) -> &mut Vec<PatId> {
-        &mut self.pats_here
-    }
 }
 
 #[cfg(test)]

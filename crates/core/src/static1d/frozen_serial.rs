@@ -26,16 +26,20 @@
 //!
 //! There is no CRC at this layer: the `.snap` v2 container that carries
 //! these bytes has a whole-file CRC-32 trailer (see `pdm_primitives::codec`
-//! and the pdm-dict snapshot module). Structural validation (bounds,
-//! power-of-two slot counts, entry-count consistency) still happens here so
-//! a logic error upstream cannot produce a table that panics at match time.
+//! and the pdm-dict snapshot module). Structural validation still happens
+//! here so a logic error upstream, or a CRC-valid but malformed file,
+//! cannot produce a table that panics, hangs or loses entries at match
+//! time: bounds, power-of-two slot counts, entry-count consistency, an
+//! empty slot and every key on its probe path
+//! ([`FrozenPairTable::from_raw_parts`]), and pattern ids in range in the
+//! attribution maps.
 //!
 //! Tables loaded this way have no build side ([`StaticTables::write`] is
 //! `None`): text matching never needs it, and the name pool is resumed past
 //! the serialized allocation watermark so any future build-side use would
 //! allocate fresh, non-colliding names.
 
-use crate::static1d::namemap::NameMap;
+use crate::static1d::namemap::{unpack2, NameMap};
 use crate::static1d::serial::LoadError;
 use crate::static1d::tables::{ReadTables, StaticTables};
 use pdm_naming::{FrozenNameTable, NamePool};
@@ -135,7 +139,7 @@ impl<'a> Reader<'a> {
         let vals = self.u32s(slots)?.into_boxed_slice();
         FrozenPairTable::from_raw_parts(keys, vals, entries)
             .map(FrozenNameTable::from_raw)
-            .ok_or_else(|| LoadError("inconsistent frozen table".into()))
+            .map_err(|e| LoadError(format!("frozen table: {e}")))
     }
 
     fn namemap(&mut self) -> Result<NameMap, LoadError> {
@@ -150,6 +154,28 @@ impl<'a> Reader<'a> {
         }
         self.u32s(n)
     }
+}
+
+/// Every stored `(len, pattern)` value of a loaded attribution map must
+/// name a pattern that exists and a length within `max_len` (`owner`
+/// stores length 0): match output indexes per-pattern arrays with these
+/// ids.
+fn check_attribution(
+    map: &NameMap,
+    what: &str,
+    n_patterns: usize,
+    max_len: usize,
+) -> Result<(), LoadError> {
+    for v in map.values() {
+        let (len, pid) = unpack2(v);
+        if pid as usize >= n_patterns || len as usize > max_len {
+            return Err(LoadError(format!(
+                "{what} map names pattern {pid} of length {len} \
+                 ({n_patterns} patterns, longest {max_len})"
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl StaticTables {
@@ -213,6 +239,8 @@ impl StaticTables {
         }
         let longest = r.namemap()?;
         let owner = r.namemap()?;
+        check_attribution(&longest, "longest", n_patterns, max_len)?;
+        check_attribution(&owner, "owner", n_patterns, 0)?;
         let pattern_names = r.vec_u32()?;
         if pattern_names.len() != n_patterns {
             return Err(LoadError("pattern_names length mismatch".into()));

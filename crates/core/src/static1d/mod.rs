@@ -120,6 +120,15 @@ impl StaticMatcher {
         }
     }
 
+    /// Wrap read-only tables assembled outside a build
+    /// (`StaticTables::from_read_parts`) and prime the all-matches prefix
+    /// chains now, so the first match against them pays nothing extra.
+    pub(crate) fn from_frozen_tables(tables: StaticTables) -> Self {
+        let m = Self::from_tables(tables);
+        m.prime_chains(crate::allmatches::pattern_chains(&m));
+        m
+    }
+
     /// Fold a scratch's counter deltas into the matcher-wide metrics.
     fn record(&self, scratch: &TextScratch, grows0: u64, lookups0: u64) {
         self.metrics.match_calls.fetch_add(1, Ordering::Relaxed);

@@ -86,6 +86,11 @@ impl NameMap {
         self.slots.is_empty()
     }
 
+    /// Stored values, skipping empty slots.
+    pub(crate) fn values(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots.iter().copied().filter(|&v| v != EMPTY)
+    }
+
     /// Raw slots (`u64::MAX` = empty) for serialization.
     pub fn slots(&self) -> &[u64] {
         &self.slots

@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// preprocessing: atomics-free open-addressing copies of `sym`/`pair`/`ext`
 /// plus a dense level-0 symbol map for small alphabets. All text-side
 /// lookups go through these; the concurrent originals remain the write side
-/// (builds, serialization, the §6 dynamic path).
+/// (builds, `PDM1` serialization).
 #[derive(Debug)]
 pub struct ReadTables {
     pub sym: FrozenNameTable,
@@ -66,10 +66,10 @@ impl ReadTables {
         }
     }
 
-    /// Assemble from already-frozen tables (the cold-load path: the frozen
-    /// slot arrays come straight off disk). Only the dense level-0 map is
-    /// derived — an `O(|Σ|)` scan of the symbol table's entries, no
-    /// rehashing of anything.
+    /// Assemble from already-frozen tables (the cold-load path, where the
+    /// frozen slot arrays come straight off disk, and the dynamic freeze).
+    /// Only the dense level-0 map is derived — an `O(|Σ|)` scan of the
+    /// symbol table's entries, no rehashing of anything.
     pub fn from_frozen(
         sym: FrozenNameTable,
         pair: Vec<FrozenNameTable>,
@@ -119,7 +119,8 @@ pub struct StaticTables {
     pub n_patterns: usize,
     /// Build-side live tables. `Some` for tables produced by
     /// [`Self::build`] or the `PDM1` entry-list loader; `None` for tables
-    /// cold-loaded from the frozen-snapshot form, which ship only the read
+    /// cold-loaded from the frozen-snapshot form or frozen from the dynamic
+    /// dictionary (`DynamicMatcher::freeze`), which ship only the read
     /// path. Only `PDM1` serialization and the pre-freeze
     /// [`ConcView`](crate::static1d::ConcView) bench path need them.
     pub write: Option<WriteTables>,
@@ -248,37 +249,9 @@ impl StaticTables {
         });
 
         // 4. Pattern attribution (§4.2 / Theorem 2).
-        let pattern_names: Vec<u32> = patterns
-            .iter()
-            .enumerate()
-            .map(|(p, pat)| prefs[p][pat.len() - 1])
-            .collect();
         let n_names = pool.allocated() as usize + 1;
         let (longest, owner) = ctx.cost.phase("dict/longest-pattern", || {
-            let by_name = AtomicNameMap::new(n_names);
-            ctx.for_each(npat, |p| {
-                by_name.set_min(pattern_names[p], pack2(0, p as u32));
-            });
-            let longest = AtomicNameMap::new(n_names);
-            let owner = AtomicNameMap::new(n_names);
-            // Host-side: left-to-right scan per pattern. PRAM-side this is
-            // the nearest-one-to-the-left prefix-max (O(log m) rounds, O(M)
-            // work) — charge that schedule.
-            ctx.for_each(npat, |p| {
-                let mut last: Option<(u32, u32)> = None;
-                for l in 1..=patterns[p].len() {
-                    let nm = prefs[p][l - 1];
-                    owner.set_min(nm, pack2(0, p as u32));
-                    if let Some(v) = by_name.get(nm) {
-                        last = Some((l as u32, (v & 0xFFFF_FFFF) as u32));
-                    }
-                    if let Some((ll, pid)) = last {
-                        longest.set(nm, pack2(ll, pid));
-                    }
-                }
-            });
-            ctx.cost.rounds(ceil_log2(max_len) as u64, total as u64);
-            (longest.freeze(), owner.freeze())
+            attribute(ctx, &prefs, n_names, max_len, total)
         });
 
         let read = ctx.cost.phase("dict/freeze-read-path", || {
@@ -299,11 +272,55 @@ impl StaticTables {
             }),
             longest,
             owner,
-            pattern_names,
+            pattern_names: prefs.iter().map(|p| p[p.len() - 1]).collect(),
             pattern_prefs: prefs,
             pool,
             read,
         })
+    }
+
+    /// Assemble read-only tables — the form
+    /// [`Self::from_frozen_bytes`] loads, with no build side — from an
+    /// already-named dictionary: its frozen text-side tables, every
+    /// pattern's prefix names in the order that fixes the pattern ids, the
+    /// fold table's entry count and the names allocated so far (every name
+    /// in `read` and `pattern_prefs` lies below it). The Theorem 2
+    /// attribution maps are derived here exactly as [`Self::build`] derives
+    /// them, so matching yields the ids a build over the same pattern
+    /// order would. This is the dynamic dictionary's freeze
+    /// ([`DynamicMatcher::freeze`](crate::dynamic::DynamicMatcher::freeze)).
+    pub(crate) fn from_read_parts(
+        read: ReadTables,
+        pattern_prefs: Vec<Vec<u32>>,
+        fold_len: usize,
+        names_allocated: u32,
+    ) -> Self {
+        let max_len = pattern_prefs.iter().map(Vec::len).max().unwrap_or(0);
+        let total_len = pattern_prefs.iter().map(Vec::len).sum();
+        let levels = ceil_log2(max_len) as usize;
+        debug_assert_eq!(read.pair.len(), levels);
+        debug_assert_eq!(read.ext.len(), levels + 1);
+        let (longest, owner) = attribute(
+            &Ctx::seq(),
+            &pattern_prefs,
+            names_allocated as usize + 1,
+            max_len,
+            total_len,
+        );
+        Self {
+            levels,
+            max_len,
+            total_len,
+            n_patterns: pattern_prefs.len(),
+            write: None,
+            fold_len,
+            longest,
+            owner,
+            pattern_names: pattern_prefs.iter().map(|p| p[p.len() - 1]).collect(),
+            pattern_prefs,
+            pool: NamePool::dictionary_resumed(names_allocated),
+            read,
+        }
     }
 
     /// Build-side tables, which exist unless this value was cold-loaded
@@ -315,6 +332,43 @@ impl StaticTables {
             .as_ref()
             .expect("build-side tables absent: this matcher was cold-loaded from a frozen snapshot")
     }
+}
+
+/// Theorem 2's attribution (§4.2): `longest[name]` packs `(len, pat)` of
+/// the longest pattern that is a prefix of the named prefix, `owner[name]`
+/// packs `(0, pat)` of the smallest pattern id having that prefix.
+/// `prefs[p]` lists pattern `p`'s prefix names, all below `n_names`.
+fn attribute(
+    ctx: &Ctx,
+    prefs: &[Vec<u32>],
+    n_names: usize,
+    max_len: usize,
+    total: usize,
+) -> (NameMap, NameMap) {
+    let npat = prefs.len();
+    let by_name = AtomicNameMap::new(n_names);
+    ctx.for_each(npat, |p| {
+        by_name.set_min(prefs[p][prefs[p].len() - 1], pack2(0, p as u32));
+    });
+    let longest = AtomicNameMap::new(n_names);
+    let owner = AtomicNameMap::new(n_names);
+    // Host-side: left-to-right scan per pattern. PRAM-side this is the
+    // nearest-one-to-the-left prefix-max (O(log m) rounds, O(M) work) —
+    // charge that schedule.
+    ctx.for_each(npat, |p| {
+        let mut last: Option<(u32, u32)> = None;
+        for (l, &nm) in prefs[p].iter().enumerate() {
+            owner.set_min(nm, pack2(0, p as u32));
+            if let Some(v) = by_name.get(nm) {
+                last = Some((l as u32 + 1, (v & 0xFFFF_FFFF) as u32));
+            }
+            if let Some((ll, pid)) = last {
+                longest.set(nm, pack2(ll, pid));
+            }
+        }
+    });
+    ctx.cost.rounds(ceil_log2(max_len) as u64, total as u64);
+    (longest.freeze(), owner.freeze())
 }
 
 #[cfg(test)]

@@ -2,12 +2,18 @@
 //! cold-start sidecar.
 //!
 //! A [`Snapshot`] is one epoch of the dictionary, frozen: a canonical
-//! pattern list (ids are positions in that list), a matcher over it, and
-//! the longest-proper-prefix chains needed to expand longest-match output
-//! into *all* matches per position. Snapshots are what the serving layer
-//! pins per chunk — they never change after construction, so a session can
-//! finish a chunk against the epoch it started with while the store
-//! publishes a successor.
+//! pattern list (ids are positions in that list) and a read-only
+//! [`StaticMatcher`] over it — frozen name tables, the Theorem 2
+//! attribution maps, the prefix chains that expand longest-match output
+//! into *all* matches per position, and the SWAR prefilter. Every epoch
+//! has that one form whichever path produced it: a full parallel build
+//! ([`SnapshotPath::FullRebuild`]), a load of the v2 sidecar
+//! ([`SnapshotPath::ColdLoaded`]), or a freeze of the store's dynamic
+//! matcher after an incremental commit ([`SnapshotPath::Incremental`],
+//! [`DynamicMatcher::freeze`]); only an empty epoch has no matcher.
+//! Snapshots are what the serving layer pins per chunk — they never change
+//! after construction, so a session can finish a chunk against the epoch
+//! it started with while the store publishes a successor.
 //!
 //! Two distinct serializations share the `PDMS` magic:
 //!
@@ -25,15 +31,17 @@
 //!   Loading it ([`SnapshotPath::ColdLoaded`]) reconstructs a servable
 //!   snapshot in O(file size) with **zero naming rounds**: the frozen
 //!   tables' probe order depends only on key bits and slot counts, so the
-//!   raw slot arrays deserialize without rehashing.
+//!   raw slot arrays deserialize without rehashing. Name values depend on
+//!   the path that named the dictionary, so only a snapshot from
+//!   [`Snapshot::build_static`] has sidecar bytes that are a function of
+//!   the pattern set alone (compaction writes that one).
 
 use pdm_core::allmatches::{pattern_chains, PatternChains};
 use pdm_core::dynamic::DynamicMatcher;
 use pdm_core::static1d::serial::LoadError;
-use pdm_core::{BuildError, Matcher, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
+use pdm_core::{BuildError, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
 use pdm_pram::Ctx;
 use pdm_primitives::codec::{self, CodecError, SectionReader, SectionWriter};
-use pdm_primitives::FxHashMap;
 use std::sync::Arc;
 
 /// File magic for serialized snapshots.
@@ -105,7 +113,8 @@ fn corrupt(why: impl Into<String>) -> SnapError {
 /// identical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotPath {
-    /// Batch applied through the §6 `DynamicMatcher` (Theorems 7–10).
+    /// Batch applied through the §6 `DynamicMatcher` (Theorems 7–10), then
+    /// frozen into the static read form.
     Incremental,
     /// Full parallel `StaticMatcher` rebuild on the pool (Theorem 3).
     FullRebuild,
@@ -113,61 +122,24 @@ pub enum SnapshotPath {
     ColdLoaded,
 }
 
-enum SnapInner {
-    /// Canonical ids equal the build-order ids of the static matcher.
-    Static(Arc<StaticMatcher>),
-    /// A frozen clone of the store's dynamic matcher; `remap` translates
-    /// its native slot ids into canonical ids.
-    Dynamic {
-        m: Box<DynamicMatcher>,
-        remap: FxHashMap<PatId, u32>,
-    },
-}
-
-impl std::fmt::Debug for SnapInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapInner::Static(_) => write!(f, "Static"),
-            SnapInner::Dynamic { .. } => write!(f, "Dynamic"),
-        }
-    }
-}
-
 /// One immutable epoch of the dictionary.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
-    /// Canonical id → pattern length.
-    lens: Vec<u32>,
     /// Canonical pattern list; `None` when wrapped around a bare index
     /// (pattern texts unknown — the snapshot still matches, but cannot be
     /// re-serialized).
     patterns: Option<Vec<Vec<Sym>>>,
-    /// Canonical id → longest pattern that is a proper prefix of it.
-    chains: Vec<Option<u32>>,
-    max_len: usize,
-    inner: SnapInner,
+    /// The read-only matcher; its pattern ids are the canonical ids.
+    /// `None` for an empty epoch, which matches nothing.
+    matcher: Option<Arc<StaticMatcher>>,
     path: SnapshotPath,
-}
-
-/// Longest-proper-prefix chains over a canonical pattern list, computed
-/// from the texts (matcher-agnostic, unlike `pdm_core::allmatches` which
-/// reads the static tables).
-fn chains_of(patterns: &[Vec<Sym>]) -> Vec<Option<u32>> {
-    let mut idx: FxHashMap<&[Sym], u32> = FxHashMap::default();
-    for (i, p) in patterns.iter().enumerate() {
-        idx.insert(p.as_slice(), i as u32);
-    }
-    patterns
-        .iter()
-        .map(|p| (1..p.len()).rev().find_map(|l| idx.get(&p[..l]).copied()))
-        .collect()
 }
 
 impl Snapshot {
     /// Build the static-path snapshot (full parallel rebuild). Empty
-    /// dictionaries fall back to an empty dynamic matcher — the §4 build
-    /// rejects zero patterns, an empty epoch is still a valid epoch.
+    /// dictionaries yield an empty epoch — the §4 build rejects zero
+    /// patterns, an empty epoch is still a valid epoch.
     pub fn build_static(
         ctx: &Ctx,
         epoch: u64,
@@ -181,40 +153,33 @@ impl Snapshot {
         let m = StaticMatcher::build(ctx, &patterns)?;
         Ok(Snapshot {
             epoch,
-            lens: patterns.iter().map(|p| p.len() as u32).collect(),
-            chains: chains_of(&patterns),
-            max_len: patterns.iter().map(Vec::len).max().unwrap_or(0),
             patterns: Some(patterns),
-            inner: SnapInner::Static(Arc::new(m)),
+            matcher: Some(Arc::new(m)),
             path: SnapshotPath::FullRebuild,
         })
     }
 
-    /// Freeze a clone of the store's dynamic matcher as the incremental-path
-    /// snapshot. `native` gives the dynamic matcher's slot id for each
-    /// canonical position.
-    pub fn from_dynamic(
+    /// The incremental-path snapshot: freeze the live dictionary of the
+    /// store's dynamic matcher into the static read form
+    /// ([`DynamicMatcher::freeze`]) and attach the prefilter analyzed from
+    /// `patterns`. `native[i]` is the dynamic matcher's id for canonical
+    /// pattern `i`.
+    pub fn freeze_dynamic(
         epoch: u64,
-        m: DynamicMatcher,
+        d: &DynamicMatcher,
         patterns: Vec<Vec<Sym>>,
         native: &[PatId],
     ) -> Self {
         debug_assert_eq!(patterns.len(), native.len());
-        let remap: FxHashMap<PatId, u32> = native
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| (n, i as u32))
-            .collect();
+        if patterns.is_empty() {
+            return Self::build_empty(epoch);
+        }
+        let mut m = d.freeze(native);
+        m.set_prefilter(Some(Prefilter::analyze(&patterns)));
         Snapshot {
             epoch,
-            lens: patterns.iter().map(|p| p.len() as u32).collect(),
-            chains: chains_of(&patterns),
-            max_len: patterns.iter().map(Vec::len).max().unwrap_or(0),
             patterns: Some(patterns),
-            inner: SnapInner::Dynamic {
-                m: Box::new(m),
-                remap,
-            },
+            matcher: Some(Arc::new(m)),
             path: SnapshotPath::Incremental,
         }
     }
@@ -223,14 +188,8 @@ impl Snapshot {
     pub fn build_empty(epoch: u64) -> Self {
         Snapshot {
             epoch,
-            lens: Vec::new(),
             patterns: Some(Vec::new()),
-            chains: Vec::new(),
-            max_len: 0,
-            inner: SnapInner::Dynamic {
-                m: Box::new(DynamicMatcher::new()),
-                remap: FxHashMap::default(),
-            },
+            matcher: None,
             path: SnapshotPath::Incremental,
         }
     }
@@ -240,15 +199,10 @@ impl Snapshot {
     /// identity bytes, but matching and all-matches expansion work — the
     /// chains come from the static tables.
     pub fn from_static(epoch: u64, m: Arc<StaticMatcher>) -> Self {
-        let chains = pattern_chains(&m).chain;
-        let k = m.pattern_count();
         Snapshot {
             epoch,
-            lens: (0..k as PatId).map(|p| m.pattern_len(p)).collect(),
             patterns: None,
-            chains,
-            max_len: m.max_pattern_len(),
-            inner: SnapInner::Static(m),
+            matcher: Some(m),
             path: SnapshotPath::FullRebuild,
         }
     }
@@ -263,16 +217,19 @@ impl Snapshot {
     }
 
     pub fn pattern_count(&self) -> usize {
-        self.lens.len()
+        self.matcher.as_ref().map_or(0, |m| m.pattern_count())
     }
 
     pub fn max_pattern_len(&self) -> usize {
-        self.max_len
+        self.matcher.as_ref().map_or(0, |m| m.max_pattern_len())
     }
 
-    /// Length of canonical pattern `p`.
+    /// Length of canonical pattern `p` (panics if `p` is out of range).
     pub fn pattern_len(&self, p: PatId) -> u32 {
-        self.lens[p as usize]
+        self.matcher
+            .as_ref()
+            .expect("an empty epoch has no patterns")
+            .pattern_len(p)
     }
 
     /// Canonical pattern list, if known.
@@ -280,25 +237,14 @@ impl Snapshot {
         self.patterns.as_deref()
     }
 
-    /// The matcher backing this epoch.
-    pub fn matcher(&self) -> &dyn Matcher {
-        match &self.inner {
-            SnapInner::Static(m) => m.as_ref(),
-            SnapInner::Dynamic { m, .. } => m.as_ref(),
-        }
-    }
-
-    #[inline]
-    fn to_canon(&self, native: PatId) -> PatId {
-        match &self.inner {
-            SnapInner::Static(_) => native,
-            SnapInner::Dynamic { remap, .. } => remap[&native],
-        }
+    /// The matcher backing this epoch (`None` for an empty epoch).
+    pub fn matcher(&self) -> Option<&StaticMatcher> {
+        self.matcher.as_deref()
     }
 
     /// Every `(position, canonical pattern)` occurrence in `text`, sorted
     /// by position then pattern id — the same contract as
-    /// [`StaticMatcher::find_all`], but canonical ids, so results are
+    /// [`StaticMatcher::find_all`], with canonical ids, so results are
     /// identical whichever rebuild path produced the snapshot.
     pub fn find_all(&self, ctx: &Ctx, text: &[Sym]) -> Vec<(usize, PatId)> {
         let mut scratch = TextScratch::new();
@@ -307,10 +253,10 @@ impl Snapshot {
         v
     }
 
-    /// [`Self::find_all`] into caller-owned buffers. On the static path the
-    /// whole match reuses `scratch` (zero steady-state allocation per
-    /// chunk); the dynamic path matches through its concurrent tables as
-    /// before (its dictionary mutates, so its tables cannot be frozen).
+    /// [`Self::find_all`] into caller-owned buffers. Every epoch delegates
+    /// to its read-only static matcher, so the whole match reuses
+    /// `scratch` (zero steady-state allocation per chunk) and runs through
+    /// the SWAR candidate prefilter when it is active (DESIGN.md §16).
     pub fn find_all_into(
         &self,
         ctx: &Ctx,
@@ -319,35 +265,9 @@ impl Snapshot {
         out: &mut Vec<(usize, PatId)>,
     ) {
         out.clear();
-        if self.lens.is_empty() {
-            return;
+        if let Some(m) = &self.matcher {
+            m.find_all_into(ctx, text, scratch, out);
         }
-        let mut mo = scratch.take_match_out();
-        match &self.inner {
-            SnapInner::Static(m) => {
-                // Canonical ids equal native ids and the canonical chains
-                // equal the matcher's own, so the static path delegates —
-                // which routes serving through the SWAR candidate
-                // prefilter when one is attached (DESIGN.md §16).
-                scratch.put_match_out(mo);
-                m.find_all_into(ctx, text, scratch, out);
-                return;
-            }
-            SnapInner::Dynamic { m, .. } => mo = m.match_text(ctx, text),
-        }
-        for (i, hit) in mo.longest_pattern.iter().enumerate() {
-            let Some(native) = *hit else { continue };
-            let here = scratch.pats_here_mut();
-            here.clear();
-            let mut cur = Some(self.to_canon(native));
-            while let Some(p) = cur {
-                here.push(p);
-                cur = self.chains[p as usize];
-            }
-            here.sort_unstable();
-            out.extend(here.iter().map(|&p| (i, p)));
-        }
-        scratch.put_match_out(mo);
     }
 
     /// Canonical **identity** bytes: `(epoch, patterns in canonical order)`
@@ -361,15 +281,14 @@ impl Snapshot {
 
     /// Serialize the **built** matcher into the v2 sidecar layout:
     /// sectioned, CRC-trailed, loadable in O(file size) with zero naming
-    /// rounds. `None` when this snapshot has no frozen form — pattern
-    /// texts unknown, or the epoch is backed by the dynamic matcher (its
-    /// tables mutate and cannot be frozen); callers fall back to
-    /// [`Snapshot::identity_bytes`].
+    /// rounds. Every non-empty epoch with known pattern texts has one,
+    /// including a frozen incremental epoch (its name values, and so its
+    /// bytes, differ from a fresh build's; its matches do not). `None` when
+    /// the pattern texts are unknown or the epoch is empty; callers fall
+    /// back to [`Snapshot::identity_bytes`].
     pub fn to_sidecar_bytes(&self) -> Option<Vec<u8>> {
         let patterns = self.patterns.as_ref()?;
-        let SnapInner::Static(m) = &self.inner else {
-            return None;
-        };
+        let m = self.matcher.as_ref()?;
         let chains = pattern_chains(m);
         let mut w = SectionWriter::new();
         w.section(SEC_META, self.epoch.to_le_bytes().to_vec());
@@ -446,7 +365,6 @@ impl Snapshot {
                 .ok_or_else(|| corrupt("missing CHAINS"))?,
             patterns.len(),
         )?;
-        let chain = chains.chain.clone();
         m.prime_chains(chains);
         // Attach the stored prefilter tables; sidecars written before the
         // section existed re-analyze from the pattern texts (same result,
@@ -459,11 +377,8 @@ impl Snapshot {
         m.set_prefilter(Some(pf));
         Ok(Snapshot {
             epoch,
-            lens: patterns.iter().map(|p| p.len() as u32).collect(),
-            max_len: patterns.iter().map(Vec::len).max().unwrap_or(0),
             patterns: Some(patterns),
-            chains: chain,
-            inner: SnapInner::Static(Arc::new(m)),
+            matcher: Some(Arc::new(m)),
             path: SnapshotPath::ColdLoaded,
         })
     }
@@ -604,7 +519,7 @@ fn decode_chains(sec: &[u8], expect: usize) -> Result<PatternChains, SnapError> 
 }
 
 /// What `pdm snap inspect` reports for a `PDMS` sidecar — parsed without
-/// building or loading any matcher.
+/// building any matcher.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SnapInfo {
     pub version: u32,
@@ -616,7 +531,9 @@ pub struct SnapInfo {
 
 /// Inspect a `.snap` buffer: version, epoch, pattern count, and (for v2)
 /// section sizes. Validation depth matches the load path — v2 checks the
-/// whole-file CRC, v1 has none to check.
+/// whole-file CRC and decodes every section exactly as a cold load does
+/// (table probe paths, pattern-id ranges, chains, prefilter), v1 has no
+/// checksum to check.
 pub fn inspect(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
     match codec::read_header(bytes, SNAP_MAGIC)? {
         SNAP_VERSION_IDENTITY => {
@@ -629,22 +546,12 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
             })
         }
         SNAP_VERSION => {
-            let r = SectionReader::open(bytes, SNAP_MAGIC)?;
-            let meta = r.section(SEC_META).ok_or_else(|| corrupt("missing META"))?;
-            if meta.len() < 8 {
-                return Err(corrupt("META section too short"));
-            }
-            let epoch = u64::from_le_bytes(meta[..8].try_into().expect("bounds checked"));
-            let patterns = decode_patterns(
-                r.section(SEC_PATTERNS)
-                    .ok_or_else(|| corrupt("missing PATTERNS"))?,
-            )?
-            .len();
+            let snap = Snapshot::from_sidecar_v2(bytes)?;
             Ok(SnapInfo {
                 version: SNAP_VERSION,
-                epoch,
-                patterns,
-                sections: r.sections().collect(),
+                epoch: snap.epoch(),
+                patterns: snap.pattern_count(),
+                sections: SectionReader::open(bytes, SNAP_MAGIC)?.sections().collect(),
             })
         }
         v => Err(CodecError::VersionMismatch {
@@ -674,10 +581,40 @@ mod tests {
             .iter()
             .map(|p| d.insert(&ctx, p).unwrap())
             .collect();
-        let dsnap = Snapshot::from_dynamic(1, d, patterns, &native);
+        let dsnap = Snapshot::freeze_dynamic(1, &d, patterns, &native);
         let text = to_symbols("ushershishe");
         assert_eq!(s.find_all(&ctx, &text), dsnap.find_all(&ctx, &text));
         assert_eq!(s.identity_bytes().unwrap(), dsnap.identity_bytes().unwrap());
+        // The frozen epoch keeps serving after the master moves on.
+        d.delete(&ctx, &to_symbols("she")).unwrap();
+        d.insert(&ctx, &to_symbols("us")).unwrap();
+        assert_eq!(s.find_all(&ctx, &text), dsnap.find_all(&ctx, &text));
+    }
+
+    #[test]
+    fn frozen_epoch_follows_canonical_order_and_round_trips() {
+        // Native ids run in insert order; canonical ids follow `native`.
+        let ctx = Ctx::seq();
+        let mut d = DynamicMatcher::new();
+        let mut native = Vec::new();
+        for p in ["hers", "his", "she", "he"] {
+            native.push(d.insert(&ctx, &to_symbols(p)).unwrap());
+        }
+        native.reverse();
+        let patterns = pats();
+        let frozen = Snapshot::freeze_dynamic(4, &d, patterns.clone(), &native);
+        let built = Snapshot::build_static(&ctx, 4, patterns).unwrap();
+        let m = frozen.matcher().unwrap();
+        assert!(m.tables().write.is_none(), "read form only");
+        assert!(m.prefilter().is_some());
+        let bytes = frozen.to_sidecar_bytes().expect("frozen epochs serialize");
+        let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();
+        for text in ["ushershishe", "hers his she he", "h", ""] {
+            let t = to_symbols(text);
+            let want = built.find_all(&ctx, &t);
+            assert_eq!(frozen.find_all(&ctx, &t), want, "{text:?}");
+            assert_eq!(back.find_all(&ctx, &t), want, "{text:?}");
+        }
     }
 
     #[test]
@@ -725,7 +662,10 @@ mod tests {
         let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();
         assert_eq!(back.epoch(), 7);
         assert_eq!(back.path(), SnapshotPath::ColdLoaded);
-        assert!(back.matcher().stats().cold_loaded, "no naming rounds ran");
+        assert!(
+            back.matcher().unwrap().cold_loaded(),
+            "no naming rounds ran"
+        );
         assert_eq!(back.patterns(), snap.patterns());
         // Same identity: the cold-loaded snapshot serializes identically.
         assert_eq!(back.identity_bytes(), snap.identity_bytes());
@@ -765,9 +705,10 @@ mod tests {
         let snap = Snapshot::build_empty(3);
         assert_eq!(snap.find_all(&ctx, &to_symbols("anything")), vec![]);
         assert_eq!(snap.max_pattern_len(), 0);
+        assert!(snap.matcher().is_none());
         assert!(
             snap.to_sidecar_bytes().is_none(),
-            "dynamic inner has no frozen form"
+            "an empty epoch has no matcher to serialize"
         );
         let bytes = snap.identity_bytes().unwrap();
         let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();

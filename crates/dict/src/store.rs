@@ -12,12 +12,14 @@
 //!    [`DynamicMatcher`] mirroring the committed set through the paper's
 //!    §6 insert/delete path;
 //! 3. the **rebuild policy** — a commit whose pending-update ratio stays
-//!    under the threshold publishes a frozen clone of the dynamic matcher
-//!    (Theorems 7–10: `O(λ)` table work per pattern); past the threshold
-//!    it rebuilds a `StaticMatcher` on the pool instead (Theorem 3),
-//!    which is cheaper than many incremental steps once the batch is a
-//!    sizable fraction of the dictionary. Both paths produce snapshots
-//!    with identical canonical bytes and identical match output.
+//!    under the threshold applies the batch to the dynamic matcher
+//!    (Theorems 7–10: `O(λ)` table work per pattern) and freezes its live
+//!    tables into the static read form (`O(M)` copying, no naming rounds);
+//!    past the threshold it rebuilds a `StaticMatcher` on the pool instead
+//!    (Theorem 3), which is cheaper than many incremental steps once the
+//!    batch is a sizable fraction of the dictionary. Both paths publish the
+//!    same read-only form, with identical canonical bytes and identical
+//!    match output.
 //!
 //! **Cold start.** [`DictStore::open`] replays the log *structurally* —
 //! canonical slots, liveness, staged tail — without feeding the master
@@ -409,7 +411,7 @@ impl DictStore {
     /// Snapshot of the current committed dictionary (for the initial
     /// publish at serve start). A hydrated store freezes the live dynamic
     /// matcher (incremental path); a structurally replayed one rebuilds a
-    /// static matcher instead — cheaper than hydrating just to clone.
+    /// static matcher instead — cheaper than hydrating just to freeze.
     pub fn snapshot(&mut self, ctx: &Ctx) -> Result<Arc<Snapshot>, StoreError> {
         let path = if self.hydrated {
             SnapshotPath::Incremental
@@ -525,9 +527,10 @@ impl DictStore {
         self.log = Some(log);
         // Emit the loadable snapshot beside the log: v2 (serialized built
         // matcher) when the dictionary is non-empty, identity bytes (v1)
-        // for an empty one — a dynamic inner has no frozen form. Written
-        // atomically so a crash mid-write leaves the previous good sidecar
-        // (or none) rather than a torn one.
+        // for an empty one — an empty epoch has no matcher. A fresh build
+        // rather than the current epoch, so the bytes are a function of the
+        // pattern set alone. Written atomically so a crash mid-write leaves
+        // the previous good sidecar (or none) rather than a torn one.
         let snap = Snapshot::build_static(ctx, self.epoch, self.live_patterns())?;
         let bytes = snap
             .to_sidecar_bytes()
@@ -618,7 +621,7 @@ impl DictStore {
                     .filter(|(s, _)| s.is_some())
                     .map(|(_, n)| n.expect("hydrated live slot has a native id"))
                     .collect();
-                Snapshot::from_dynamic(self.epoch, self.dynm.clone(), patterns, &native)
+                Snapshot::freeze_dynamic(self.epoch, &self.dynm, patterns, &native)
             }
         })
     }

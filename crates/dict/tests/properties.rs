@@ -8,15 +8,27 @@
 //!    and committed (exercising both the incremental batch-apply and the
 //!    threshold-triggered full rebuild) — reports exactly the matches of a
 //!    from-scratch `StaticMatcher` on every committed epoch.
+//! 3. Frozen epochs over byte alphabets with the SWAR prefilter active:
+//!    every epoch of a random add/remove/commit script — through
+//!    delete-to-empty, re-adds, removal of the longest pattern and the §6
+//!    squeeze-out rebuild — reports exactly Aho–Corasick's matches and a
+//!    fresh `build_static`'s, with the same canonical ids, at pool widths
+//!    1, 2 and 4, and an incremental epoch's sidecar bytes load back to
+//!    the same matches.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
+use pdm_baselines::AhoCorasick;
 use pdm_core::dict::{PatId, Sym};
 use pdm_core::dynamic::{DynError, DynamicMatcher};
+use pdm_core::prefilter::PREFILTER_MIN_TEXT;
 use pdm_core::static1d::StaticMatcher;
-use pdm_dict::DictStore;
+use pdm_core::PrefilterDecision;
+use pdm_dict::{DictStore, Snapshot, SnapshotPath};
 use pdm_pram::Ctx;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// A scripted dictionary edit: insert (roll < 7, i.e. 70%) or delete a
 /// pattern over the alphabet {0,1,2}.
@@ -144,4 +156,215 @@ proptest! {
             }
         }
     }
+}
+
+/// Pool widths 1, 2 and 4, shared by every case.
+fn widths() -> &'static [Ctx; 3] {
+    static W: OnceLock<[Ctx; 3]> = OnceLock::new();
+    W.get_or_init(|| [Ctx::seq(), Ctx::with_threads(2), Ctx::with_threads(4)])
+}
+
+/// Distinct alert-style patterns from `(head, tail)` draws: an uppercase
+/// first byte, then lowercase bytes. Uppercase bytes are rare in the texts
+/// below, so the prefilter keeps an active engine. `long` goes first and
+/// outgrows the rest (17–24 symbols against at most 10), so removing the
+/// longest pattern lowers `K` — often without a squeeze-out rebuild, as
+/// the others together outweigh it.
+fn alert_pool(long: (u8, Vec<u8>), raw: Vec<(u8, Vec<u8>)>) -> Vec<Vec<Sym>> {
+    let mut pool: Vec<Vec<Sym>> = Vec::new();
+    for (head, tail) in std::iter::once(long).chain(raw) {
+        let p: Vec<Sym> = std::iter::once(head).chain(tail).map(Sym::from).collect();
+        if !pool.contains(&p) {
+            pool.push(p);
+        }
+    }
+    pool
+}
+
+/// A lowercase text with pool patterns planted between noise runs, padded
+/// to at least `PREFILTER_MIN_TEXT` symbols so the prefilter scans it.
+fn alert_text(pool: &[Vec<Sym>], segments: &[(usize, Vec<u8>)]) -> Vec<Sym> {
+    let mut text: Vec<Sym> = Vec::new();
+    for (pick, noise) in segments {
+        text.extend(noise.iter().map(|&b| Sym::from(b)));
+        if let Some(p) = pool.get(*pick) {
+            text.extend_from_slice(p);
+        }
+    }
+    while text.len() < PREFILTER_MIN_TEXT {
+        text.push(Sym::from(b'x'));
+    }
+    text
+}
+
+/// One committed epoch against both oracles: Aho–Corasick over the model's
+/// live list (whose positions are the canonical ids) and a fresh
+/// `build_static`, at every pool width; the frozen form's `m`, `K` and
+/// prefilter decision equal the fresh build's; an incremental epoch's
+/// sidecar bytes load back to the same matches.
+fn check_epoch(snap: &Snapshot, live: &[Vec<Sym>], text: &[Sym]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(snap.patterns(), Some(live));
+    let mut want: Vec<(usize, PatId)> = AhoCorasick::new(live)
+        .find_all(text)
+        .into_iter()
+        .map(|o| (o.start, o.pat as PatId))
+        .collect();
+    want.sort_unstable();
+    let built = Snapshot::build_static(&Ctx::seq(), snap.epoch(), live.to_vec()).unwrap();
+    prop_assert_eq!(snap.max_pattern_len(), built.max_pattern_len());
+    if let (Some(m), Some(b)) = (snap.matcher(), built.matcher()) {
+        prop_assert_eq!(m.tables().levels, b.tables().levels);
+        prop_assert_eq!(m.prefilter_decision(), b.prefilter_decision());
+    }
+    for (w, ctx) in widths().iter().enumerate() {
+        prop_assert_eq!(&snap.find_all(ctx, text), &want, "width index {}", w);
+        prop_assert_eq!(&built.find_all(ctx, text), &want, "width index {}", w);
+    }
+    if snap.path() == SnapshotPath::Incremental {
+        if let Some(bytes) = snap.to_sidecar_bytes() {
+            let back = Snapshot::from_bytes(&Ctx::seq(), &bytes).unwrap();
+            prop_assert_eq!(back.find_all(&Ctx::seq(), text), want);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Ops: 0–4 stage an add, 5–6 a remove, 7 removes the longest pattern
+    /// live after the staged ops, 8 removes every one of them, 9–10
+    /// commit through the incremental path, 11 commits under the default
+    /// policy. Whole-dictionary removals shrink the live size below half
+    /// of what was inserted, so the §6 squeeze-out rebuild runs too.
+    #[test]
+    fn frozen_epochs_equal_aho_corasick_and_static_builds(
+        long in (b'A'..=b'F', proptest::collection::vec(b'a'..=b'e', 16..24)),
+        raw_pool in proptest::collection::vec(
+            (b'A'..=b'F', proptest::collection::vec(b'a'..=b'e', 0..10)), 3..12),
+        segments in proptest::collection::vec(
+            (0usize..16, proptest::collection::vec(b'a'..=b'h', 0..12)), 4..40),
+        ops in proptest::collection::vec((0u8..12, 0usize..16), 1..60),
+    ) {
+        let pool = alert_pool(long, raw_pool);
+        let text = alert_text(&pool, &segments);
+        let ctx = Ctx::seq();
+        let mut store = DictStore::in_memory();
+        let mut live: Vec<Vec<Sym>> = Vec::new();
+        let mut staged: Vec<(bool, Vec<Sym>)> = Vec::new();
+        let live_after = |store: &DictStore| -> Vec<Vec<Sym>> {
+            pool.iter().filter(|p| store.would_be_live(p)).cloned().collect()
+        };
+        let last = ops.len();
+        for (step, &(op, i)) in ops.iter().enumerate() {
+            let p = &pool[i % pool.len()];
+            match op {
+                0..=4 if store.stage_add(p).is_ok() => staged.push((true, p.clone())),
+                5..=6 if store.stage_remove(p).is_ok() => staged.push((false, p.clone())),
+                7 => {
+                    if let Some(p) = live_after(&store).into_iter().max_by_key(Vec::len) {
+                        store.stage_remove(&p).unwrap();
+                        staged.push((false, p));
+                    }
+                }
+                8 => {
+                    for p in live_after(&store) {
+                        store.stage_remove(&p).unwrap();
+                        staged.push((false, p));
+                    }
+                }
+                _ => {}
+            }
+            if (op >= 9 || step + 1 == last) && !staged.is_empty() {
+                let force = (op != 11).then_some(SnapshotPath::Incremental);
+                let out = store.commit_with(&ctx, force).unwrap();
+                for (add, p) in staged.drain(..) {
+                    if add {
+                        live.push(p);
+                    } else {
+                        live.retain(|q| *q != p);
+                    }
+                }
+                check_epoch(&out.snapshot, &live, &text)?;
+            }
+        }
+    }
+}
+
+/// A fixed walk through the edge cases of the property above, with the
+/// facts it can only hope to hit asserted outright: incremental epochs run
+/// the prefilter's scan, the squeeze-out rebuild fires, removing the
+/// longest pattern lowers `m` and `K`, and an empty epoch re-fills.
+#[test]
+fn frozen_epochs_scan_with_the_prefilter_through_squeeze_out() {
+    let ctx = Ctx::seq();
+    let alerts: Vec<Vec<Sym>> = (0..24u32)
+        .map(|i| {
+            let head = Sym::from(b'A') + i % 26;
+            let tail = (0..6 + i % 5).map(|j| Sym::from(b'a') + (i * 7 + j) % 26);
+            std::iter::once(head).chain(tail).collect()
+        })
+        .collect();
+    let longest: Vec<Sym> = std::iter::once(Sym::from(b'Z'))
+        .chain(std::iter::repeat_n(Sym::from(b'q'), 40))
+        .collect();
+    let mut text: Vec<Sym> = (0..4096u32).map(|i| Sym::from(b'a') + i % 23).collect();
+    for (k, p) in alerts.iter().chain(std::iter::once(&longest)).enumerate() {
+        let at = 97 + 150 * k;
+        text[at..at + p.len()].copy_from_slice(p);
+    }
+    let epoch = |store: &mut DictStore, live: &[Vec<Sym>]| {
+        let out = store
+            .commit_with(&ctx, Some(SnapshotPath::Incremental))
+            .unwrap();
+        check_epoch(&out.snapshot, live, &text).unwrap();
+        out.snapshot
+    };
+
+    let mut store = DictStore::in_memory();
+    let mut live = alerts.clone();
+    live.push(longest.clone());
+    for p in &live {
+        store.stage_add(p).unwrap();
+    }
+    let snap = epoch(&mut store, &live);
+    let m = snap.matcher().unwrap();
+    assert_eq!(m.tables().levels, 6, "m = 41");
+    assert!(
+        matches!(
+            m.prefilter_decision(),
+            PrefilterDecision::RareByte | PrefilterDecision::PairMask
+        ),
+        "{:?}",
+        m.prefilter_decision()
+    );
+    assert!(m.stats().prefilter_counters.scans > 0, "the scan ran");
+
+    // Removing the longest pattern shrinks m from 41 to 11 (K 6 → 4).
+    store.stage_remove(&longest).unwrap();
+    live.pop();
+    let snap = epoch(&mut store, &live);
+    assert_eq!(snap.max_pattern_len(), 11);
+    assert_eq!(snap.matcher().unwrap().tables().levels, 4);
+
+    // Remove 20 of 24: live symbols fall below half of those inserted
+    // since the last rebuild, so the dynamic matcher squeezes out.
+    for p in alerts.iter().take(20) {
+        store.stage_remove(p).unwrap();
+    }
+    live.drain(..20);
+    epoch(&mut store, &live);
+
+    // Delete to empty, then re-add (fresh native ids, new canonical slots).
+    for p in &live {
+        store.stage_remove(p).unwrap();
+    }
+    let snap = epoch(&mut store, &[]);
+    assert!(snap.matcher().is_none());
+    assert_eq!(snap.find_all(&ctx, &text), vec![]);
+    let readd: Vec<Vec<Sym>> = vec![alerts[3].clone(), longest.clone(), alerts[0].clone()];
+    for p in &readd {
+        store.stage_add(p).unwrap();
+    }
+    epoch(&mut store, &readd);
 }

@@ -43,7 +43,7 @@ proptest! {
             let ctx = Ctx::with_threads(width);
             let loaded = Snapshot::from_bytes(&ctx, &bytes).unwrap();
             prop_assert!(
-                loaded.matcher().stats().cold_loaded,
+                loaded.matcher().is_some_and(|m| m.cold_loaded()),
                 "width {}: load must not run naming rounds", width
             );
             prop_assert_eq!(loaded.epoch(), 7);

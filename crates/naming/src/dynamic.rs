@@ -78,6 +78,18 @@ impl DynTable {
     pub fn refs(&self, a: u32, b: u32) -> u32 {
         self.map.refs(a, b)
     }
+
+    /// All live `(a, b, name)` entries, unordered (freezing support,
+    /// mirror of [`crate::arena::NameTable::entries`]).
+    pub fn entries(&self) -> Vec<(u32, u32, u32)> {
+        self.map
+            .iter_entries()
+            .map(|(k, name)| {
+                let (a, b) = pdm_primitives::table::unpack(k);
+                (a, b, name)
+            })
+            .collect()
+    }
 }
 
 /// Dynamic stamp-listing: element name → multiset of stamps.

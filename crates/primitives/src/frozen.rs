@@ -20,6 +20,43 @@ use crate::table::pack;
 
 const EMPTY_KEY: u64 = u64::MAX;
 
+/// Why serialized slot arrays are not a valid [`FrozenPairTable`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RawTableError {
+    /// Key and value arrays differ in length.
+    LengthMismatch,
+    /// The slot count is not a power of two.
+    SlotCount(usize),
+    /// The declared entry count disagrees with the occupied slots.
+    EntryCount { len: usize, occupied: usize },
+    /// Every slot is occupied, so a lookup miss would probe forever.
+    NoEmptySlot,
+    /// The key in `slot` lies past an empty slot on its probe path, so
+    /// lookups can never reach it.
+    OffProbePath { slot: usize },
+}
+
+impl std::fmt::Display for RawTableError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::LengthMismatch => write!(f, "key and value arrays differ in length"),
+            Self::SlotCount(n) => write!(f, "slot count {n} is not a power of two"),
+            Self::EntryCount { len, occupied } => {
+                write!(
+                    f,
+                    "declares {len} entries but {occupied} slots are occupied"
+                )
+            }
+            Self::NoEmptySlot => write!(f, "no empty slot, so a lookup miss never ends"),
+            Self::OffProbePath { slot } => {
+                write!(f, "key in slot {slot} is unreachable from its home slot")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RawTableError {}
+
 /// Immutable open-addressing `(u32, u32) → u32` map built by freezing a
 /// [`ConcPairTable`] (or an entry list) after all inserts are done.
 ///
@@ -111,19 +148,53 @@ impl FrozenPairTable {
         &self.vals
     }
 
-    /// Reassemble a table from serialized slot arrays. Returns `None` when
-    /// the arrays cannot be a valid table (mismatched lengths, slot count
-    /// not a power of two, or `len` disagreeing with the non-empty slots) —
-    /// a loader turns that into its corruption error rather than panicking.
-    pub fn from_raw_parts(keys: Box<[u64]>, vals: Box<[u32]>, len: usize) -> Option<Self> {
-        if keys.len() != vals.len() || !keys.len().is_power_of_two() {
-            return None;
+    /// Reassemble a table from serialized slot arrays, checking in
+    /// `O(slots)` that they form a table [`Self::get`] can probe: equal
+    /// array lengths, a power-of-two slot count, `len` equal to the
+    /// occupied slots, at least one empty slot (a miss stops only at one),
+    /// and every key reachable from its home slot `mix64(key) & mask`
+    /// without crossing an empty slot. A loader turns the error into its
+    /// corruption error rather than hanging or losing entries at match
+    /// time.
+    pub fn from_raw_parts(
+        keys: Box<[u64]>,
+        vals: Box<[u32]>,
+        len: usize,
+    ) -> Result<Self, RawTableError> {
+        if keys.len() != vals.len() {
+            return Err(RawTableError::LengthMismatch);
         }
-        if keys.iter().filter(|&&k| k != EMPTY_KEY).count() != len {
-            return None;
+        if !keys.len().is_power_of_two() {
+            return Err(RawTableError::SlotCount(keys.len()));
         }
         let mask = keys.len() - 1;
-        Some(Self {
+        // Walk the slots circularly from just past an empty one, tracking
+        // where the current occupied run began: a key is reachable iff its
+        // home lies inside its run, at or before its own slot. An empty
+        // slot restarts the run, and its own (meaningless) displacement is
+        // compared against `usize::MAX`, so the loop needs no branch on
+        // emptiness.
+        let start = 1 + keys
+            .iter()
+            .position(|&k| k == EMPTY_KEY)
+            .ok_or(RawTableError::NoEmptySlot)?;
+        let (mut occupied, mut run_start) = (0usize, 0usize);
+        for off in 0..keys.len() {
+            let slot = (start + off) & mask;
+            let k = keys[slot];
+            if k == EMPTY_KEY {
+                run_start = off + 1;
+            }
+            occupied += usize::from(k != EMPTY_KEY);
+            let displacement = slot.wrapping_sub(mix64(k) as usize) & mask;
+            if displacement > off.wrapping_sub(run_start) {
+                return Err(RawTableError::OffProbePath { slot });
+            }
+        }
+        if occupied != len {
+            return Err(RawTableError::EntryCount { len, occupied });
+        }
+        Ok(Self {
             keys,
             vals,
             mask,
@@ -247,16 +318,67 @@ mod tests {
         let keys = || f.keys().to_vec().into_boxed_slice();
         let vals = || f.vals().to_vec().into_boxed_slice();
         // len disagreeing with occupied slots.
-        assert!(FrozenPairTable::from_raw_parts(keys(), vals(), 1).is_none());
+        assert_eq!(
+            FrozenPairTable::from_raw_parts(keys(), vals(), 1).err(),
+            Some(RawTableError::EntryCount {
+                len: 1,
+                occupied: 2
+            })
+        );
         // Mismatched array lengths.
         let short: Box<[u32]> = f.vals()[..f.slots_len() - 1].to_vec().into_boxed_slice();
-        assert!(FrozenPairTable::from_raw_parts(keys(), short, 2).is_none());
+        assert_eq!(
+            FrozenPairTable::from_raw_parts(keys(), short, 2).err(),
+            Some(RawTableError::LengthMismatch)
+        );
         // Non-power-of-two slot count.
         let mut k = f.keys().to_vec();
         let mut v = f.vals().to_vec();
         k.push(EMPTY_KEY);
         v.push(0);
-        assert!(FrozenPairTable::from_raw_parts(k.into(), v.into(), 2).is_none());
+        assert_eq!(
+            FrozenPairTable::from_raw_parts(k.into(), v.into(), 2).err(),
+            Some(RawTableError::SlotCount(9))
+        );
+    }
+
+    #[test]
+    fn raw_parts_reject_a_table_without_an_empty_slot() {
+        // Four slots, four keys: before the check, the first miss looped
+        // forever in `get`.
+        let keys: Box<[u64]> = (0..4u32).map(|i| pack(i, 0)).collect();
+        let vals: Box<[u32]> = vec![0; 4].into_boxed_slice();
+        assert_eq!(
+            FrozenPairTable::from_raw_parts(keys, vals, 4).err(),
+            Some(RawTableError::NoEmptySlot)
+        );
+    }
+
+    #[test]
+    fn raw_parts_reject_a_key_moved_off_its_probe_path() {
+        let entries: Vec<(u32, u32, u32)> = (0..40u32).map(|i| (i, 3 * i, i)).collect();
+        let f = FrozenPairTable::from_entries(&entries);
+        let mask = f.slots_len() - 1;
+        // Move an isolated key (at its home, empty slots on both sides)
+        // one slot back: the probe from its home meets an empty slot first.
+        let empty = |i: usize| f.keys()[i & mask] == EMPTY_KEY;
+        let slot = (0..f.slots_len())
+            .find(|&i| {
+                !empty(i)
+                    && mix64(f.keys()[i]) as usize & mask == i
+                    && empty(i.wrapping_sub(1))
+                    && empty(i + 1)
+            })
+            .expect("a load-0.25 table has an isolated key at its home");
+        let mut keys = f.keys().to_vec();
+        let mut vals = f.vals().to_vec();
+        let to = slot.wrapping_sub(1) & mask;
+        keys.swap(slot, to);
+        vals.swap(slot, to);
+        assert_eq!(
+            FrozenPairTable::from_raw_parts(keys.into(), vals.into(), f.len()).err(),
+            Some(RawTableError::OffProbePath { slot: to })
+        );
     }
 
     proptest! {

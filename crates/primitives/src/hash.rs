@@ -3,7 +3,12 @@
 //! The namestamping tables key on small integers and integer pairs; SipHash's
 //! DoS resistance buys nothing here and costs plenty. This is the standard
 //! `hash = (hash.rotate_left(5) ^ word) * K` construction used by rustc,
-//! reimplemented so the workspace has no external hashing dependency.
+//! reimplemented so the workspace has no external hashing dependency, with
+//! one addition: [`FxHasher::finish`] passes the state through [`mix64`].
+//! std's `HashMap` takes bucket bits from the low end of the hash, and the
+//! low bits of a product depend only on the low bits of the key — without
+//! the finalizer every packed pair key `a << 32 | b` that shares `b` lands
+//! on one probe chain.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -26,7 +31,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        mix64(self.hash)
     }
 
     #[inline]
@@ -124,6 +129,17 @@ mod tests {
         assert_eq!(m.len(), 1000);
         assert_eq!(m.get(&(500, 501)), Some(&500));
         assert_eq!(m.get(&(501, 500)), None);
+    }
+
+    #[test]
+    fn keys_sharing_their_low_word_spread_over_buckets() {
+        // Packed pair keys `(a, 7)`: a bare multiply leaves their low 32
+        // hash bits identical, so every key would share one bucket.
+        let buckets: FxHashSet<u64> = (0..4096u32)
+            .map(|a| hash_of(&crate::table::pack(a, 7)) & 0xFFF)
+            .collect();
+        // A uniform hash covers 1 − 1/e ≈ 63% of the 4,096 values.
+        assert!(buckets.len() > 2048, "only {} buckets", buckets.len());
     }
 
     #[test]

@@ -45,6 +45,6 @@ pub mod vfs;
 pub use codec::CodecError;
 pub use conc_table::ConcPairTable;
 pub use crc::{crc32, Crc32};
-pub use frozen::FrozenPairTable;
+pub use frozen::{FrozenPairTable, RawTableError};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use table::PairMap;

@@ -11,7 +11,9 @@
 # index_throughput (build seq MB/s and
 # merged-query seq kqps), BENCH_snap.json -> snap_coldstart (sidecar
 # decode MB/s), BENCH_conns.json -> conn_scale (per-leg MB/s across the
-# reactor connection ladder).
+# reactor connection ladder), BENCH_dict.json -> dict_swap (per-batch
+# incremental commit ms, at most twice the baseline, and stream MB/s
+# across epoch swaps).
 #
 # Usage: scripts/check_bench_regression.sh [baseline.json]
 set -euo pipefail
@@ -27,6 +29,7 @@ case "$(basename "$baseline")" in
     BENCH_index*) bench=index_throughput ;;
     BENCH_snap*)  bench=snap_coldstart ;;
     BENCH_conns*) bench=conn_scale ;;
+    BENCH_dict*)  bench=dict_swap ;;
     *)            bench=text_throughput ;;
 esac
 
