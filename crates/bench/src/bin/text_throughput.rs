@@ -1,19 +1,19 @@
 //! Text-side hot-path throughput, written to `BENCH_text.json`.
 //!
-//! Measures matching MB/s before and after the text-side overhaul
-//! (DESIGN.md §11) for four workloads:
+//! Measures matching MB/s after the text-side overhaul (DESIGN.md §11),
+//! and before it where a pre-overhaul path still exists, for these
+//! workloads:
 //!
-//! * `static1d`   — §4 mixed-length matching. *after* = sentinel naming +
-//!   frozen tables + session scratch; *before* = the retained text-local
-//!   reference descent over the concurrent tables (`ConcView`).
+//! * `static1d`   — §4 mixed-length matching: sentinel naming + frozen
+//!   tables + session scratch (*after* only: a built matcher keeps no
+//!   concurrent tables for a pre-overhaul leg to probe).
 //! * `equal_len`  — Theorem 11. *after* = per-level frozen probes;
 //!   *before* = the live concurrent-table path (`match_texts_ref`).
 //! * `smallalpha` — §5 small-σ matching. *after* = frozen block-tuple
 //!   probe into session scratch (`match_text_into`); *before* = the live
 //!   probe (`match_text_ref`), which allocates per call.
-//! * `streaming`  — chunked cursor. *after* = session scratch via
-//!   `find_all_into`; *before* = per-chunk window matching through the
-//!   concurrent reference path (the pre-overhaul per-chunk cost).
+//! * `streaming`  — chunked cursor: session scratch via `find_all_into`
+//!   (*after* only, for the same reason as `static1d`).
 //! * `sparse_prefilter` — `find_all` over random bytes where the dictionary
 //!   occurs only where planted. *after* = the SWAR candidate prefilter
 //!   (DESIGN.md §16) screening windows for KMR verification; *before* =
@@ -42,7 +42,7 @@ use pdm_bench::timing::time_median;
 use pdm_core::dict::Sym;
 use pdm_core::equal_len::EqualLenMatcher;
 use pdm_core::smallalpha::{SmallAlphaMatcher, SmallAlphaOutput, SmallAlphaScratch};
-use pdm_core::static1d::{match_text_ref, ConcView, MatchOutput, StaticMatcher};
+use pdm_core::static1d::{MatchOutput, StaticMatcher};
 use pdm_core::TextScratch;
 use pdm_pram::Ctx;
 use pdm_stream::StreamMatcher;
@@ -177,10 +177,8 @@ fn main() {
 
     let d2 = Arc::clone(&dict);
     let d3 = Arc::clone(&dict);
-    let d4 = Arc::clone(&dict);
     let t2 = text.clone();
     let t3 = text.clone();
-    let t4 = text.clone();
     let dna2 = dna.clone();
 
     // Session-lifetime buffers for the "after" legs, reused across runs —
@@ -210,14 +208,6 @@ fn main() {
             Box::new(move |ctx: &Ctx| {
                 d2.match_into(ctx, &t2, &mut scratch, &mut mo);
                 std::hint::black_box(&mo);
-            }),
-        ),
-        (
-            "static1d",
-            "before",
-            text_syms,
-            Box::new(|ctx: &Ctx| {
-                std::hint::black_box(match_text_ref(ctx, &ConcView(dict.tables()), &text));
             }),
         ),
         (
@@ -302,24 +292,6 @@ fn main() {
                 std::hint::black_box(&dn_off_v);
             }),
         ),
-        (
-            "streaming",
-            "before",
-            text_syms,
-            Box::new(move |ctx: &Ctx| {
-                // Pre-overhaul per-chunk cost: fresh window copy + the
-                // text-local reference match over the concurrent tables.
-                let overlap = d4.max_pattern_len().saturating_sub(1);
-                let mut carry: Vec<Sym> = Vec::new();
-                for chunk in t4.chunks(CHUNK) {
-                    let mut window = carry.clone();
-                    window.extend_from_slice(chunk);
-                    std::hint::black_box(match_text_ref(ctx, &ConcView(d4.tables()), &window));
-                    let keep = overlap.min(window.len());
-                    carry = window[window.len() - keep..].to_vec();
-                }
-            }),
-        ),
     ];
 
     // name -> (leg -> (seq, par)) preserving declaration order.
@@ -363,8 +335,8 @@ fn main() {
     let json = format!(
         "{{\n  \"meta\": {{\"host_cpus\": {host_cpus}, \"text_bytes\": {text_syms}, \
          \"runs\": {runs}, \"smoke\": {}, \"note\": \"after = sentinel naming + frozen \
-         tables + session scratch; before = text-local naming over concurrent \
-         tables\"}},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
+         tables + session scratch; before = the live-table or unfiltered path, \
+         where one remains\"}},\n  \"workloads\": {{\n{}\n  }}\n}}\n",
         smoke(),
         sections.join(",\n"),
     );

@@ -1,14 +1,16 @@
-//! The frozen-snapshot form (`PDMT`): serialize a built [`StaticTables`]
-//! as its *read path* — raw frozen slot arrays — so loading is `O(file
-//! size)` byte shuffling with **zero naming rounds and zero rehashing**.
+//! The frozen-snapshot form (`PDMT`), the one serialized form of a built
+//! matcher: a [`StaticTables`] written as its *read path* — raw frozen slot
+//! arrays — so loading is `O(file size)` byte shuffling with **zero naming
+//! rounds and zero rehashing**. This is the "preprocess once, match
+//! forever" deployment story of Theorem 3: the dictionary side runs once,
+//! the frozen tables ship to matchers.
 //!
-//! The `PDM1` entry-list format ([`super::serial`]) stores `(a, b, name)`
-//! triples and re-inserts every one on load, paying a full round of hashing
-//! and table construction. This format instead dumps each
-//! [`FrozenPairTable`]'s key/value slot arrays verbatim. That is sound
-//! because a frozen table's probe sequence is a pure function of (key, slot
-//! count): `mix64(pack(a, b)) & (slots − 1)` with linear probing. Identical
-//! slot arrays ⇒ identical lookups, so the bytes on disk *are* the table.
+//! Each [`FrozenPairTable`]'s key/value slot arrays are dumped verbatim.
+//! That is sound because a frozen table's probe sequence is a pure function
+//! of (key, slot count): `mix64(pack(a, b)) & (slots − 1)` with linear
+//! probing. Identical slot arrays ⇒ identical lookups, so the bytes on disk
+//! *are* the table. Name *values* are preserved verbatim too (they are
+//! arbitrary ids; only their equalities matter).
 //!
 //! Layout (all integers little-endian):
 //!
@@ -34,13 +36,12 @@
 //! ([`FrozenPairTable::from_raw_parts`]), and pattern ids in range in the
 //! attribution maps.
 //!
-//! Tables loaded this way have no build side ([`StaticTables::write`] is
-//! `None`): text matching never needs it, and the name pool is resumed past
-//! the serialized allocation watermark so any future build-side use would
-//! allocate fresh, non-colliding names.
+//! Loaded tables have exactly the shape a fresh build leaves behind: no
+//! matcher keeps its build-side tables, so there is nothing else to
+//! restore. The name pool is resumed past the serialized allocation
+//! watermark, so names allocated later never collide with loaded ones.
 
 use crate::static1d::namemap::{unpack2, NameMap};
-use crate::static1d::serial::LoadError;
 use crate::static1d::tables::{ReadTables, StaticTables};
 use pdm_naming::{FrozenNameTable, NamePool};
 use pdm_primitives::codec;
@@ -48,6 +49,18 @@ use pdm_primitives::FrozenPairTable;
 
 pub const FROZEN_MAGIC: [u8; 4] = *b"PDMT";
 pub const FROZEN_VERSION: u32 = 1;
+
+/// Errors from loading serialized tables.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoadError(pub String);
+
+impl std::fmt::Display for LoadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid pdm index: {}", self.0)
+    }
+}
+
+impl std::error::Error for LoadError {}
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -179,9 +192,9 @@ fn check_attribution(
 }
 
 impl StaticTables {
-    /// Serialize the frozen read path to the `PDMT` layout. Works on any
-    /// tables — built, `PDM1`-loaded, or themselves cold-loaded — because
-    /// it touches only the read side.
+    /// Serialize the frozen read path to the `PDMT` layout. Built, frozen
+    /// and cold-loaded tables all have the same read-only shape, so all
+    /// serialize the same way.
     pub fn to_frozen_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         codec::write_header(&mut buf, FROZEN_MAGIC, FROZEN_VERSION);
@@ -208,8 +221,7 @@ impl StaticTables {
     }
 
     /// Load tables from the `PDMT` layout: `O(file size)` byte-to-integer
-    /// conversion, no naming rounds, no rehashing. The result has no build
-    /// side (see module docs).
+    /// conversion, no naming rounds, no rehashing.
     pub fn from_frozen_bytes(data: &[u8]) -> Result<Self, LoadError> {
         let version = codec::read_header(data, FROZEN_MAGIC)
             .and_then(|v| codec::require_version(v, FROZEN_VERSION).map(|()| v))
@@ -257,7 +269,6 @@ impl StaticTables {
             max_len,
             total_len,
             n_patterns,
-            write: None,
             fold_len,
             longest,
             owner,
@@ -283,10 +294,6 @@ mod tests {
         let m = StaticMatcher::build(&ctx, &pats).unwrap();
         let bytes = m.tables().to_frozen_bytes();
         let loaded = StaticTables::from_frozen_bytes(&bytes).expect("load");
-        assert!(
-            loaded.write.is_none(),
-            "cold-loaded tables ship no build side"
-        );
         let text = to_symbols("ushers and xyzzyish");
         assert_eq!(m.match_text(&ctx, &text), match_text(&ctx, &loaded, &text));
     }

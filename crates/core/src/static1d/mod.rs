@@ -16,14 +16,13 @@
 pub mod frozen_serial;
 pub mod namemap;
 pub mod prefix_match;
-pub mod serial;
 pub mod tables;
 
 pub use prefix_match::{
     match_text, match_text_into, match_text_ref, prefix_match, prefix_match_into, prefix_match_ref,
-    ConcView, MatchOutput, MatchTables, PrefixMatch,
+    MatchOutput, MatchTables, PrefixMatch,
 };
-pub use tables::{StaticTables, WriteTables};
+pub use tables::StaticTables;
 
 use crate::allmatches::PatternChains;
 use crate::dict::{BuildError, PatId, Sym};
@@ -401,16 +400,6 @@ impl StaticMatcher {
         }
     }
 
-    /// Serialize the frozen index (see [`serial`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.tables.to_bytes()
-    }
-
-    /// Load a matcher from a serialized index.
-    pub fn from_bytes(data: &[u8]) -> Result<Self, serial::LoadError> {
-        Ok(Self::from_tables(StaticTables::from_bytes(data)?))
-    }
-
     /// Serialize the read path to the frozen snapshot form (see
     /// [`frozen_serial`]).
     pub fn to_frozen_bytes(&self) -> Vec<u8> {
@@ -421,7 +410,7 @@ impl StaticMatcher {
     /// no naming rounds, no parallel build. The result reports
     /// `cold_loaded = true` in its [`MatcherStats`](crate::matcher::Matcher)
     /// so callers can verify the rebuild was actually skipped.
-    pub fn from_frozen_bytes(data: &[u8]) -> Result<Self, serial::LoadError> {
+    pub fn from_frozen_bytes(data: &[u8]) -> Result<Self, frozen_serial::LoadError> {
         let mut m = Self::from_tables(StaticTables::from_frozen_bytes(data)?);
         m.cold_loaded = true;
         Ok(m)
@@ -446,8 +435,8 @@ impl StaticMatcher {
     }
 
     /// Length of pattern `p` in symbols (available even on a matcher
-    /// loaded via [`Self::from_bytes`] — the streaming layer needs it to
-    /// decide which window a match's *end* falls in).
+    /// loaded via [`Self::from_frozen_bytes`] — the streaming layer needs
+    /// it to decide which window a match's *end* falls in).
     pub fn pattern_len(&self, p: PatId) -> u32 {
         self.tables.pattern_prefs[p as usize].len() as u32
     }

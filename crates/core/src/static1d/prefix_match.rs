@@ -609,38 +609,6 @@ impl MatchTables for super::tables::StaticTables {
     }
 }
 
-/// View of a [`StaticTables`](super::tables::StaticTables) that routes the
-/// text-side lookups through the *concurrent* build tables instead of the
-/// frozen read path — the pre-freeze probing behavior, retained so the
-/// `text_throughput` bench can report honest before/after numbers.
-pub struct ConcView<'a>(pub &'a super::tables::StaticTables);
-
-impl MatchTables for ConcView<'_> {
-    fn levels(&self) -> usize {
-        self.0.levels
-    }
-
-    fn sym_lookup(&self, c: Sym) -> Option<u32> {
-        self.0.write_tables().sym.lookup(c, 0)
-    }
-
-    fn pair_lookup(&self, k: usize, a: u32, b: u32) -> Option<u32> {
-        self.0.write_tables().pair[k - 1].lookup(a, b)
-    }
-
-    fn ext_lookup(&self, k: usize, pref: u32, block: u32) -> Option<u32> {
-        self.0.write_tables().ext[k].lookup(pref, block)
-    }
-
-    fn longest_pattern(&self, pref: u32) -> Option<(PatId, u32)> {
-        self.0.longest_pattern(pref)
-    }
-
-    fn owner(&self, pref: u32) -> Option<PatId> {
-        self.0.owner(pref)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,8 +664,6 @@ mod tests {
         let fast = match_text(&ctx, m.tables(), &text);
         let slow = match_text_ref(&ctx, m.tables(), &text);
         assert_eq!(fast, slow);
-        let slow_conc = match_text_ref(&ctx, &ConcView(m.tables()), &text);
-        assert_eq!(fast, slow_conc);
     }
 
     #[test]

@@ -24,11 +24,11 @@ use pdm_pram::{ceil_log2, Ctx};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Read-optimized snapshots of the text-side tables, built once after
-/// preprocessing: atomics-free open-addressing copies of `sym`/`pair`/`ext`
-/// plus a dense level-0 symbol map for small alphabets. All text-side
-/// lookups go through these; the concurrent originals remain the write side
-/// (builds, `PDM1` serialization).
+/// Read-optimized forms of the text-side tables: atomics-free
+/// open-addressing copies of `sym`/`pair`/`ext`, each frozen as soon as its
+/// last build-side writer is done, plus a dense level-0 symbol map for
+/// small alphabets. All text-side lookups go through these; a matcher
+/// keeps nothing else of its build.
 #[derive(Debug)]
 pub struct ReadTables {
     pub sym: FrozenNameTable,
@@ -46,30 +46,11 @@ impl ReadTables {
     /// alphabets fall back to the frozen hash table).
     const DENSE_SYM_LIMIT: u32 = 1 << 16;
 
-    /// Freeze the text-side tables of a finished build.
-    pub fn build(sym: &NameTable, pair: &[NameTable], ext: &[NameTable]) -> Self {
-        let entries = sym.entries();
-        let sym_dense = entries.iter().map(|e| e.0).max().and_then(|max_c| {
-            (max_c < Self::DENSE_SYM_LIMIT).then(|| {
-                let mut d = vec![IDENTITY; max_c as usize + 1].into_boxed_slice();
-                for &(c, _, name) in &entries {
-                    d[c as usize] = name;
-                }
-                d
-            })
-        });
-        ReadTables {
-            sym: FrozenNameTable::from_entries(&entries),
-            pair: pair.iter().map(NameTable::freeze).collect(),
-            ext: ext.iter().map(NameTable::freeze).collect(),
-            sym_dense,
-        }
-    }
-
-    /// Assemble from already-frozen tables (the cold-load path, where the
-    /// frozen slot arrays come straight off disk, and the dynamic freeze).
-    /// Only the dense level-0 map is derived — an `O(|Σ|)` scan of the
-    /// symbol table's entries, no rehashing of anything.
+    /// Assemble from already-frozen tables (a build, the cold-load path,
+    /// where the frozen slot arrays come straight off disk, and the
+    /// dynamic freeze). Only the dense level-0 map is derived — an
+    /// `O(|Σ|)` scan of the symbol table's entries, no rehashing of
+    /// anything.
     pub fn from_frozen(
         sym: FrozenNameTable,
         pair: Vec<FrozenNameTable>,
@@ -93,23 +74,9 @@ impl ReadTables {
     }
 }
 
-/// The live (concurrent, write-capable) build-side tables. Text matching
-/// never touches these — every text-side lookup goes through
-/// [`ReadTables`] — so a matcher cold-loaded from a serialized snapshot
-/// carries none (see [`StaticTables::write`]).
-#[derive(Debug)]
-pub struct WriteTables {
-    /// Level-0 naming of symbols.
-    pub sym: NameTable,
-    /// `pair[k-1]` produces level-`k` block names from level-`k−1` names.
-    pub pair: Vec<NameTable>,
-    /// Prefix-name fold table (shared across levels; see `pdm-naming`).
-    pub fold: NameTable,
-    /// `ext[k]`: `(prefix-name, level-k block name) → longer prefix-name`.
-    pub ext: Vec<NameTable>,
-}
-
-/// Frozen dictionary tables: everything text processing needs.
+/// Frozen dictionary tables: everything text processing needs, and
+/// nothing more — built, cold-loaded and frozen-dynamic tables all have
+/// this one read-only shape.
 #[derive(Debug)]
 pub struct StaticTables {
     /// `K = ⌈log₂ m⌉`.
@@ -117,16 +84,9 @@ pub struct StaticTables {
     pub max_len: usize,
     pub total_len: usize,
     pub n_patterns: usize,
-    /// Build-side live tables. `Some` for tables produced by
-    /// [`Self::build`] or the `PDM1` entry-list loader; `None` for tables
-    /// cold-loaded from the frozen-snapshot form or frozen from the dynamic
-    /// dictionary (`DynamicMatcher::freeze`), which ship only the read
-    /// path. Only `PDM1` serialization and the pre-freeze
-    /// [`ConcView`](crate::static1d::ConcView) bench path need them.
-    pub write: Option<WriteTables>,
-    /// Entry count of the fold table at freeze time (the fold itself is
-    /// build-only state and is not part of the frozen form; the count keeps
-    /// size diagnostics meaningful on cold-loaded tables).
+    /// Entry count of the prefix-name fold table (build-only state, dropped
+    /// once the prefix names exist; the count keeps size diagnostics
+    /// meaningful).
     pub fold_len: usize,
     /// prefix-name → packed `(len, pat)` of the longest pattern that is a
     /// prefix of it (Theorem 2's output).
@@ -145,7 +105,11 @@ pub struct StaticTables {
 }
 
 impl StaticTables {
-    /// Preprocess the dictionary.
+    /// Preprocess the dictionary. Each piece of build state is dropped as
+    /// soon as its last reader is done — the symbol and pair naming tables
+    /// once frozen after step 1, the fold table after step 2, the block
+    /// names and extension tables after step 3 — so the build's memory
+    /// high-water mark never holds a build table beside every frozen one.
     pub fn build(ctx: &Ctx, patterns: &[Vec<Sym>]) -> Result<Self, BuildError> {
         let (total, max_len) = validate_dictionary(patterns)?;
         let k_levels = ceil_log2(max_len) as usize;
@@ -159,7 +123,6 @@ impl StaticTables {
                 NameTable::with_capacity(cap.max(1), pool.clone())
             })
             .collect();
-        let fold = NameTable::with_capacity(total, pool.clone());
 
         // 1. Aligned block names (the shrunk dictionaries), level by level.
         //    blocks[k][p][b] names P_p[b·2^k .. (b+1)·2^k].
@@ -186,10 +149,17 @@ impl StaticTables {
                 blocks.push(lvl);
             }
         });
+        let (sym, pair) = ctx.cost.phase("dict/freeze-read-path", move || {
+            (
+                FrozenNameTable::from_entries(&sym.entries()),
+                freeze_all(pair),
+            )
+        });
 
         // 2. Prefix names in popcount-grouped rounds (Fact 2 schedule):
         //    pref(ℓ) depends on pref(ℓ − 2^z), which has one fewer set bit,
         //    so all lengths with equal popcount resolve in one round.
+        let fold = NameTable::with_capacity(total, pool.clone());
         let prefs: Vec<Vec<u32>> = ctx.cost.phase("dict/prefix-naming", || {
             let cells: Vec<Vec<AtomicU32>> = patterns
                 .iter()
@@ -225,6 +195,8 @@ impl StaticTables {
                 .map(|v| v.into_iter().map(|a| a.into_inner()).collect())
                 .collect()
         });
+        let fold_len = fold.len();
+        drop(fold);
 
         // 3. Extension tables: one entry per aligned block per level.
         let ext: Vec<NameTable> = (0..=k_levels)
@@ -247,6 +219,8 @@ impl StaticTables {
                 ctx.cost.work((total >> k) as u64);
             }
         });
+        drop(blocks);
+        let ext = ctx.cost.phase("dict/freeze-read-path", || freeze_all(ext));
 
         // 4. Pattern attribution (§4.2 / Theorem 2).
         let n_names = pool.allocated() as usize + 1;
@@ -254,34 +228,24 @@ impl StaticTables {
             attribute(ctx, &prefs, n_names, max_len, total)
         });
 
-        let read = ctx.cost.phase("dict/freeze-read-path", || {
-            ReadTables::build(&sym, &pair, &ext)
-        });
-
         Ok(Self {
             levels: k_levels,
             max_len,
             total_len: total,
             n_patterns: npat,
-            fold_len: fold.len(),
-            write: Some(WriteTables {
-                sym,
-                pair,
-                fold,
-                ext,
-            }),
+            fold_len,
             longest,
             owner,
             pattern_names: prefs.iter().map(|p| p[p.len() - 1]).collect(),
             pattern_prefs: prefs,
             pool,
-            read,
+            read: ReadTables::from_frozen(sym, pair, ext),
         })
     }
 
     /// Assemble read-only tables — the form
-    /// [`Self::from_frozen_bytes`] loads, with no build side — from an
-    /// already-named dictionary: its frozen text-side tables, every
+    /// [`Self::from_frozen_bytes`] loads and [`Self::build`] leaves — from
+    /// an already-named dictionary: its frozen text-side tables, every
     /// pattern's prefix names in the order that fixes the pattern ids, the
     /// fold table's entry count and the names allocated so far (every name
     /// in `read` and `pattern_prefs` lies below it). The Theorem 2
@@ -312,7 +276,6 @@ impl StaticTables {
             max_len,
             total_len,
             n_patterns: pattern_prefs.len(),
-            write: None,
             fold_len,
             longest,
             owner,
@@ -322,16 +285,12 @@ impl StaticTables {
             read,
         }
     }
+}
 
-    /// Build-side tables, which exist unless this value was cold-loaded
-    /// from the frozen-snapshot form. Callers that genuinely need the live
-    /// tables (`PDM1` serialization, the pre-freeze bench view) should go
-    /// through here so the panic message names the contract.
-    pub fn write_tables(&self) -> &WriteTables {
-        self.write
-            .as_ref()
-            .expect("build-side tables absent: this matcher was cold-loaded from a frozen snapshot")
-    }
+/// Freeze finished build tables one at a time, dropping each live table as
+/// soon as its frozen copy exists.
+fn freeze_all(tables: Vec<NameTable>) -> Vec<FrozenNameTable> {
+    tables.into_iter().map(|t| t.freeze()).collect()
 }
 
 /// Theorem 2's attribution (§4.2): `longest[name]` packs `(len, pat)` of

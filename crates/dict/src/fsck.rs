@@ -23,10 +23,8 @@
 //! could silently discard committed patterns.
 
 use crate::log::{self, replay_bytes, Record, TailFault};
-use crate::snapshot::Snapshot;
-use crate::store::snap_path;
+use crate::store::{boot_from_sidecar, snap_path, BootFallback};
 use pdm_core::Sym;
-use pdm_pram::Ctx;
 use pdm_primitives::{vfs, FxHashMap};
 use std::path::{Path, PathBuf};
 
@@ -353,8 +351,9 @@ pub fn fsck_store(path: &Path, repair: bool) -> std::io::Result<FsckReport> {
     })
 }
 
-/// Validate the sidecar against the simulated store state. Returns the
-/// boot-path description (`boot_snapshot`'s choice, in words).
+/// Validate the sidecar against the simulated store state through the
+/// boot path's own decision ([`boot_from_sidecar`]). Returns the boot-path
+/// description (`boot_snapshot`'s choice, in words).
 fn check_sidecar(
     snap: &Path,
     sim: &Sim,
@@ -370,9 +369,12 @@ fn check_sidecar(
         return Ok("rebuild (no sidecar)".into());
     }
     let bytes = vfs::read(snap)?;
-    // Load exactly as boot would (sequentially — fsck does no pool work).
-    match Snapshot::from_bytes(&Ctx::seq(), &bytes) {
-        Err(e) => {
+    let fallback = match boot_from_sidecar(&bytes, sim.epoch, &sim.live) {
+        Ok(_) => return Ok("cold-load from sidecar".into()),
+        Err(why) => why,
+    };
+    let (severity, detail, boot_path) = match fallback {
+        BootFallback::Unreadable(e) => {
             let mut f = finding(
                 Severity::Error,
                 snap,
@@ -386,33 +388,33 @@ fn check_sidecar(
                 f.repaired = true;
             }
             findings.push(f);
-            Ok("rebuild (sidecar quarantined or unreadable)".into())
+            return Ok("rebuild (sidecar quarantined or unreadable)".into());
         }
-        Ok(loaded) => {
-            if loaded.epoch() != sim.epoch {
-                findings.push(finding(
-                    Severity::Info,
-                    snap,
-                    format!(
-                        "sidecar epoch {} != log epoch {}; boot rebuilds (stale sidecar — \
-                         compact to refresh)",
-                        loaded.epoch(),
-                        sim.epoch
-                    ),
-                ));
-                return Ok("rebuild (stale sidecar epoch)".into());
-            }
-            if loaded.patterns() != Some(&sim.live[..]) {
-                findings.push(finding(
-                    Severity::Warn,
-                    snap,
-                    "sidecar seals the log's epoch but lists different patterns; boot rebuilds",
-                ));
-                return Ok("rebuild (sidecar patterns disagree)".into());
-            }
-            Ok("cold-load from sidecar".into())
-        }
-    }
+        BootFallback::LegacyVersion(v) => (
+            Severity::Info,
+            format!(
+                "sidecar is format v{v}, which boot does not read; boot rebuilds (compact \
+                 to rewrite it as v2)"
+            ),
+            format!("rebuild (legacy sidecar format v{v})"),
+        ),
+        BootFallback::StaleEpoch { sidecar, store } => (
+            Severity::Info,
+            format!(
+                "sidecar epoch {sidecar} != log epoch {store}; boot rebuilds (stale sidecar — \
+                 compact to refresh)"
+            ),
+            "rebuild (stale sidecar epoch)".into(),
+        ),
+        BootFallback::StalePatterns => (
+            Severity::Warn,
+            "sidecar seals the log's epoch but lists different patterns; boot rebuilds".into(),
+            "rebuild (sidecar patterns disagree)".into(),
+        ),
+        BootFallback::NoSidecar => unreachable!("the sidecar bytes were read"),
+    };
+    findings.push(finding(severity, snap, detail));
+    Ok(boot_path)
 }
 
 #[cfg(test)]
@@ -421,6 +423,7 @@ mod tests {
     use crate::log::{encode_record, LogFile};
     use crate::store::DictStore;
     use pdm_core::dict::to_symbols;
+    use pdm_pram::Ctx;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pdm-fsck-{tag}-{}", std::process::id()));
@@ -537,6 +540,60 @@ mod tests {
         assert_eq!(report.unrepaired(), 0, "stale sidecar is not a failure");
         assert!(report.bootable);
         assert!(report.boot_path.contains("stale"), "{}", report.boot_path);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_compacted_store_cold_loads() {
+        let dir = tmp_dir("empty");
+        let path = dir.join("dict.log");
+        let ctx = Ctx::seq();
+        let mut store = DictStore::open(&path).unwrap();
+        store.stage_add(&to_symbols("he")).unwrap();
+        store.commit(&ctx).unwrap();
+        store.stage_remove(&to_symbols("he")).unwrap();
+        store.commit(&ctx).unwrap();
+        store.compact(&ctx).unwrap();
+        drop(store);
+        let report = fsck_store(&path, false).unwrap();
+        assert!(report.clean(), "{:?}", report.findings);
+        assert_eq!(report.boot_path, "cold-load from sidecar");
+        let boot = DictStore::open(&path).unwrap().boot_snapshot(&ctx).unwrap();
+        assert_eq!(boot.fallback, None, "boot agrees with fsck");
+        assert_eq!(boot.snapshot.epoch(), 2);
+        assert_eq!(boot.snapshot.pattern_count(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn legacy_sidecar_is_informational_and_rebuilds() {
+        let dir = tmp_dir("legacy");
+        let path = seeded(&dir);
+        // A version-1 sidecar: header, epoch, pattern list, no checksum.
+        let mut v1 = Vec::new();
+        pdm_primitives::codec::write_header(&mut v1, crate::snapshot::SNAP_MAGIC, 1);
+        v1.extend_from_slice(&1u64.to_le_bytes());
+        v1.extend_from_slice(&2u32.to_le_bytes());
+        for p in ["he", "she"] {
+            v1.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            for b in p.bytes() {
+                v1.extend_from_slice(&u32::from(b).to_le_bytes());
+            }
+        }
+        std::fs::write(snap_path(&path), &v1).unwrap();
+        let report = fsck_store(&path, true).unwrap();
+        assert_eq!(report.unrepaired(), 0, "{:?}", report.findings);
+        assert!(report.findings.iter().all(|f| f.severity == Severity::Info));
+        assert_eq!(report.boot_path, "rebuild (legacy sidecar format v1)");
+        assert!(
+            snap_path(&path).exists(),
+            "a legacy sidecar is not quarantined"
+        );
+        let boot = DictStore::open(&path)
+            .unwrap()
+            .boot_snapshot(&Ctx::seq())
+            .unwrap();
+        assert_eq!(boot.fallback, Some(BootFallback::LegacyVersion(1)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

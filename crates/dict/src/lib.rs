@@ -8,8 +8,8 @@
 //!   with staged adds/removes, epoch-sealing commits, torn-tail recovery
 //!   and compaction (which also emits a loadable snapshot file);
 //! * [`Snapshot`] — one immutable epoch: canonical pattern ids, a matcher,
-//!   and all-matches expansion chains, identical bytes and identical match
-//!   output whichever rebuild path produced it;
+//!   and all-matches expansion chains, the same pattern list and the same
+//!   match output whichever rebuild path produced it;
 //! * [`EpochHandle`] — the `Arc`-swap slot readers pin per chunk, so
 //!   in-flight work finishes against its starting epoch while new work
 //!   observes the published one.

@@ -1,4 +1,4 @@
-//! Immutable matcher snapshots: canonical identity bytes and the v2
+//! Immutable matcher snapshots and their one on-disk form, the v2
 //! cold-start sidecar.
 //!
 //! A [`Snapshot`] is one epoch of the dictionary, frozen: a canonical
@@ -15,30 +15,26 @@
 //! after construction, so a session can finish a chunk against the epoch
 //! it started with while the store publishes a successor.
 //!
-//! Two distinct serializations share the `PDMS` magic:
-//!
-//! * **Identity bytes** ([`Snapshot::identity_bytes`], version 1): exactly
-//!   `(epoch, patterns-in-canonical-order)` and nothing matcher-internal.
-//!   The same committed pattern set always yields the same identity bytes
-//!   no matter which rebuild path produced the snapshot — this is what the
-//!   incremental-vs-full differential test in `store.rs` compares, and
-//!   what pre-v2 `.snap` sidecars contain. Loading identity bytes
-//!   rebuilds the matcher from the pattern list.
-//! * **Sidecar bytes** ([`Snapshot::to_sidecar_bytes`], version 2): a
-//!   sectioned, CRC-trailed container (shared [`pdm_primitives::codec`]
-//!   framing) holding the *built* static matcher — frozen name tables,
-//!   per-level metadata, prefix chains, and the canonical pattern list.
-//!   Loading it ([`SnapshotPath::ColdLoaded`]) reconstructs a servable
-//!   snapshot in O(file size) with **zero naming rounds**: the frozen
-//!   tables' probe order depends only on key bits and slot counts, so the
-//!   raw slot arrays deserialize without rehashing. Name values depend on
-//!   the path that named the dictionary, so only a snapshot from
-//!   [`Snapshot::build_static`] has sidecar bytes that are a function of
-//!   the pattern set alone (compaction writes that one).
+//! **Sidecar bytes** ([`Snapshot::to_sidecar_bytes`], `PDMS` version 2): a
+//! sectioned, CRC-trailed container (shared [`pdm_primitives::codec`]
+//! framing) holding the epoch, the canonical pattern list and the *built*
+//! static matcher — frozen name tables, prefix chains and prefilter. It is
+//! what compaction writes beside a dictionary log and what `pdm build`
+//! writes as an index. Loading it ([`SnapshotPath::ColdLoaded`])
+//! reconstructs a servable snapshot in O(file size) with **zero naming
+//! rounds**: the frozen tables' probe order depends only on key bits and
+//! slot counts, so the raw slot arrays deserialize without rehashing. An
+//! empty epoch is META plus a zero-count PATTERNS section. Name values
+//! depend on the path that named the dictionary, so only a snapshot from
+//! [`Snapshot::build_static`] has sidecar bytes that are a function of the
+//! pattern set alone (compaction and `pdm build` write that one). Version 1
+//! files (epoch plus pattern list, no matcher, no checksum) are no longer
+//! read: [`Snapshot::from_bytes`] rejects them, and a store that finds one
+//! boots by rebuilding from its log.
 
 use pdm_core::allmatches::{pattern_chains, PatternChains};
 use pdm_core::dynamic::DynamicMatcher;
-use pdm_core::static1d::serial::LoadError;
+use pdm_core::static1d::frozen_serial::LoadError;
 use pdm_core::{BuildError, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
 use pdm_pram::Ctx;
 use pdm_primitives::codec::{self, CodecError, SectionReader, SectionWriter};
@@ -46,12 +42,10 @@ use std::sync::Arc;
 
 /// File magic for serialized snapshots.
 pub const SNAP_MAGIC: [u8; 4] = *b"PDMS";
-/// Current sidecar format: sectioned container with the built matcher.
+/// The sidecar format: sectioned container with the built matcher.
 pub const SNAP_VERSION: u32 = 2;
-/// Legacy sidecar format: identity bytes only; loading rebuilds.
-pub const SNAP_VERSION_IDENTITY: u32 = 1;
 
-/// v2 section ids.
+/// v2 section ids. An empty epoch has only META and PATTERNS.
 pub const SEC_META: u32 = 1;
 pub const SEC_PATTERNS: u32 = 2;
 pub const SEC_TABLES: u32 = 3;
@@ -69,8 +63,6 @@ pub enum SnapError {
     Corrupt(CodecError),
     /// The frozen matcher tables inside a v2 sidecar failed to decode.
     Tables(LoadError),
-    /// Rebuilding the matcher from identity bytes failed.
-    Build(BuildError),
 }
 
 impl std::fmt::Display for SnapError {
@@ -78,7 +70,6 @@ impl std::fmt::Display for SnapError {
         match self {
             Self::Corrupt(e) => write!(f, "snapshot {e}"),
             Self::Tables(e) => write!(f, "snapshot tables: {e}"),
-            Self::Build(e) => write!(f, "snapshot rebuild: {e}"),
         }
     }
 }
@@ -88,7 +79,6 @@ impl std::error::Error for SnapError {
         match self {
             Self::Corrupt(e) => Some(e),
             Self::Tables(e) => Some(e),
-            Self::Build(e) => Some(e),
         }
     }
 }
@@ -96,12 +86,6 @@ impl std::error::Error for SnapError {
 impl From<CodecError> for SnapError {
     fn from(e: CodecError) -> Self {
         Self::Corrupt(e)
-    }
-}
-
-impl From<BuildError> for SnapError {
-    fn from(e: BuildError) -> Self {
-        Self::Build(e)
     }
 }
 
@@ -194,10 +178,10 @@ impl Snapshot {
         }
     }
 
-    /// Wrap a prebuilt static matcher (e.g. a loaded `PDM1` index) as
-    /// epoch `epoch`. Pattern texts are unknown, so the snapshot has no
-    /// identity bytes, but matching and all-matches expansion work — the
-    /// chains come from the static tables.
+    /// Wrap a prebuilt static matcher (a fixed `pdm serve --dict`
+    /// dictionary) as epoch `epoch`. Pattern texts are unknown, so the
+    /// snapshot has no sidecar bytes, but matching and all-matches
+    /// expansion work — the chains come from the static tables.
     pub fn from_static(epoch: u64, m: Arc<StaticMatcher>) -> Self {
         Snapshot {
             epoch,
@@ -242,6 +226,13 @@ impl Snapshot {
         self.matcher.as_deref()
     }
 
+    /// The shared matcher and the canonical pattern list, for callers that
+    /// outlive the snapshot (`pdm match --index` hands the matcher to a
+    /// stream session).
+    pub fn into_parts(self) -> (Option<Arc<StaticMatcher>>, Option<Vec<Vec<Sym>>>) {
+        (self.matcher, self.patterns)
+    }
+
     /// Every `(position, canonical pattern)` occurrence in `text`, sorted
     /// by position then pattern id — the same contract as
     /// [`StaticMatcher::find_all`], with canonical ids, so results are
@@ -270,63 +261,41 @@ impl Snapshot {
         }
     }
 
-    /// Canonical **identity** bytes: `(epoch, patterns in canonical order)`
-    /// and nothing matcher-internal — the version-1 `PDMS` layout. Equal
-    /// identity bytes ⇔ same epoch and same committed pattern set, which is
-    /// what the incremental-vs-full differential test compares. `None` if
-    /// the pattern texts are unknown ([`Snapshot::from_static`]).
-    pub fn identity_bytes(&self) -> Option<Vec<u8>> {
-        Some(encode_identity(self.epoch, self.patterns.as_ref()?))
-    }
-
-    /// Serialize the **built** matcher into the v2 sidecar layout:
-    /// sectioned, CRC-trailed, loadable in O(file size) with zero naming
-    /// rounds. Every non-empty epoch with known pattern texts has one,
-    /// including a frozen incremental epoch (its name values, and so its
-    /// bytes, differ from a fresh build's; its matches do not). `None` when
-    /// the pattern texts are unknown or the epoch is empty; callers fall
-    /// back to [`Snapshot::identity_bytes`].
+    /// Serialize the epoch into the v2 sidecar layout: sectioned,
+    /// CRC-trailed, loadable in O(file size) with zero naming rounds. Every
+    /// epoch with known pattern texts has one, including a frozen
+    /// incremental epoch (its name values, and so its bytes, differ from a
+    /// fresh build's; its matches do not) and an empty epoch (META and a
+    /// zero-count PATTERNS section). `None` only when the pattern texts are
+    /// unknown ([`Snapshot::from_static`]).
     pub fn to_sidecar_bytes(&self) -> Option<Vec<u8>> {
         let patterns = self.patterns.as_ref()?;
-        let m = self.matcher.as_ref()?;
-        let chains = pattern_chains(m);
         let mut w = SectionWriter::new();
         w.section(SEC_META, self.epoch.to_le_bytes().to_vec());
         w.section(SEC_PATTERNS, encode_patterns(patterns));
-        w.section(SEC_TABLES, m.to_frozen_bytes());
-        w.section(SEC_CHAINS, encode_chains(&chains));
-        let pf_bytes = match m.prefilter() {
-            Some(pf) => pf.to_bytes(),
-            None => Prefilter::analyze(patterns).to_bytes(),
-        };
-        w.section(SEC_PREFILTER, pf_bytes);
+        if let Some(m) = &self.matcher {
+            w.section(SEC_TABLES, m.to_frozen_bytes());
+            w.section(SEC_CHAINS, encode_chains(&pattern_chains(m)));
+            let pf_bytes = match m.prefilter() {
+                Some(pf) => pf.to_bytes(),
+                None => Prefilter::analyze(patterns).to_bytes(),
+            };
+            w.section(SEC_PREFILTER, pf_bytes);
+        }
         Some(w.finish(SNAP_MAGIC, SNAP_VERSION))
     }
 
     /// Format version of a `.snap` buffer without loading it — boot logic
-    /// routes legacy versions straight to the rebuild fallback.
+    /// routes other versions straight to the rebuild fallback.
     pub fn peek_version(bytes: &[u8]) -> Result<u32, CodecError> {
         codec::read_header(bytes, SNAP_MAGIC)
     }
 
-    /// Load a serialized snapshot. Version 2 cold-loads the built matcher
-    /// (no naming rounds, `ctx` untouched); version 1 rebuilds it on `ctx`.
-    pub fn from_bytes(ctx: &Ctx, bytes: &[u8]) -> Result<Self, SnapError> {
-        match codec::read_header(bytes, SNAP_MAGIC)? {
-            SNAP_VERSION_IDENTITY => Self::from_identity_bytes(ctx, bytes),
-            SNAP_VERSION => Self::from_sidecar_v2(bytes),
-            v => Err(CodecError::VersionMismatch {
-                found: v,
-                supported: SNAP_VERSION,
-            }
-            .into()),
-        }
-    }
-
-    /// Legacy path: parse identity bytes and rebuild the matcher.
-    fn from_identity_bytes(ctx: &Ctx, bytes: &[u8]) -> Result<Self, SnapError> {
-        let (epoch, patterns) = decode_identity(bytes)?;
-        Ok(Self::build_static(ctx, epoch, patterns)?)
+    /// Load a v2 sidecar (no naming rounds; `ctx` is not used). Any other
+    /// version is a [`CodecError::VersionMismatch`].
+    pub fn from_bytes(_ctx: &Ctx, bytes: &[u8]) -> Result<Self, SnapError> {
+        codec::require_version(codec::read_header(bytes, SNAP_MAGIC)?, SNAP_VERSION)?;
+        Self::from_sidecar_v2(bytes)
     }
 
     /// Cold path: reconstruct the servable snapshot from the v2 sections.
@@ -344,6 +313,14 @@ impl Snapshot {
             r.section(SEC_PATTERNS)
                 .ok_or_else(|| corrupt("missing PATTERNS"))?,
         )?;
+        if patterns.is_empty() {
+            if r.section(SEC_TABLES).is_some() {
+                return Err(corrupt("TABLES present, PATTERNS lists 0"));
+            }
+            let mut s = Self::build_empty(epoch);
+            s.path = SnapshotPath::ColdLoaded;
+            return Ok(s);
+        }
         let tables = r
             .section(SEC_TABLES)
             .ok_or_else(|| corrupt("missing TABLES"))?;
@@ -384,57 +361,7 @@ impl Snapshot {
     }
 }
 
-/// Serialize `(epoch, patterns)` in the canonical identity format
-/// (version-1 `PDMS` bytes; also the legacy loadable sidecar layout).
-pub fn encode_identity(epoch: u64, patterns: &[Vec<Sym>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    codec::write_header(&mut out, SNAP_MAGIC, SNAP_VERSION_IDENTITY);
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(patterns.len() as u32).to_le_bytes());
-    for p in patterns {
-        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        for &s in p {
-            out.extend_from_slice(&s.to_le_bytes());
-        }
-    }
-    out
-}
-
-/// Parse identity bytes back into `(epoch, patterns)`. Also used by
-/// `snap inspect` on legacy sidecars, so it must not build anything.
-pub fn decode_identity(bytes: &[u8]) -> Result<(u64, Vec<Vec<Sym>>), SnapError> {
-    codec::require_version(
-        codec::read_header(bytes, SNAP_MAGIC)?,
-        SNAP_VERSION_IDENTITY,
-    )?;
-    let mut at = codec::HEADER_LEN;
-    let mut take = |n: usize| -> Result<&[u8], SnapError> {
-        let s = bytes.get(at..at + n).ok_or(CodecError::Truncated {
-            expected: at + n,
-            actual: bytes.len(),
-        })?;
-        at += n;
-        Ok(s)
-    };
-    let epoch = u64::from_le_bytes(take(8)?.try_into().expect("sized"));
-    let count = u32::from_le_bytes(take(4)?.try_into().expect("sized")) as usize;
-    let mut patterns = Vec::with_capacity(count.min(bytes.len() / 4));
-    for _ in 0..count {
-        let len = u32::from_le_bytes(take(4)?.try_into().expect("sized")) as usize;
-        let raw = take(len * 4)?;
-        patterns.push(
-            raw.chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect::<Vec<Sym>>(),
-        );
-    }
-    if at != bytes.len() {
-        return Err(corrupt("trailing bytes after snapshot"));
-    }
-    Ok((epoch, patterns))
-}
-
-/// `count u32 | count × (len u32, len × sym u32)` — the identity body.
+/// `count u32 | count × (len u32, len × sym u32)` — the PATTERNS section.
 fn encode_patterns(patterns: &[Vec<Sym>]) -> Vec<u8> {
     let total: usize = patterns.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(4 + patterns.len() * 4 + total * 4);
@@ -525,41 +452,23 @@ pub struct SnapInfo {
     pub version: u32,
     pub epoch: u64,
     pub patterns: usize,
-    /// `(section id, byte length)` in file order; empty for version 1.
+    /// `(section id, byte length)` in file order.
     pub sections: Vec<(u32, usize)>,
 }
 
-/// Inspect a `.snap` buffer: version, epoch, pattern count, and (for v2)
-/// section sizes. Validation depth matches the load path — v2 checks the
-/// whole-file CRC and decodes every section exactly as a cold load does
-/// (table probe paths, pattern-id ranges, chains, prefilter), v1 has no
-/// checksum to check.
+/// Inspect a `.snap` buffer: version, epoch, pattern count and section
+/// sizes. Validation depth matches the load path — the whole-file CRC is
+/// checked and every section decoded exactly as a cold load does (table
+/// probe paths, pattern-id ranges, chains, prefilter). Any version but 2
+/// is a [`CodecError::VersionMismatch`].
 pub fn inspect(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
-    match codec::read_header(bytes, SNAP_MAGIC)? {
-        SNAP_VERSION_IDENTITY => {
-            let (epoch, patterns) = decode_identity(bytes)?;
-            Ok(SnapInfo {
-                version: SNAP_VERSION_IDENTITY,
-                epoch,
-                patterns: patterns.len(),
-                sections: Vec::new(),
-            })
-        }
-        SNAP_VERSION => {
-            let snap = Snapshot::from_sidecar_v2(bytes)?;
-            Ok(SnapInfo {
-                version: SNAP_VERSION,
-                epoch: snap.epoch(),
-                patterns: snap.pattern_count(),
-                sections: SectionReader::open(bytes, SNAP_MAGIC)?.sections().collect(),
-            })
-        }
-        v => Err(CodecError::VersionMismatch {
-            found: v,
-            supported: SNAP_VERSION,
-        }
-        .into()),
-    }
+    let snap = Snapshot::from_bytes(&Ctx::seq(), bytes)?;
+    Ok(SnapInfo {
+        version: SNAP_VERSION,
+        epoch: snap.epoch(),
+        patterns: snap.pattern_count(),
+        sections: SectionReader::open(bytes, SNAP_MAGIC)?.sections().collect(),
+    })
 }
 
 #[cfg(test)]
@@ -584,7 +493,7 @@ mod tests {
         let dsnap = Snapshot::freeze_dynamic(1, &d, patterns, &native);
         let text = to_symbols("ushershishe");
         assert_eq!(s.find_all(&ctx, &text), dsnap.find_all(&ctx, &text));
-        assert_eq!(s.identity_bytes().unwrap(), dsnap.identity_bytes().unwrap());
+        assert_eq!((s.epoch(), s.patterns()), (dsnap.epoch(), dsnap.patterns()));
         // The frozen epoch keeps serving after the master moves on.
         d.delete(&ctx, &to_symbols("she")).unwrap();
         d.insert(&ctx, &to_symbols("us")).unwrap();
@@ -605,7 +514,6 @@ mod tests {
         let frozen = Snapshot::freeze_dynamic(4, &d, patterns.clone(), &native);
         let built = Snapshot::build_static(&ctx, 4, patterns).unwrap();
         let m = frozen.matcher().unwrap();
-        assert!(m.tables().write.is_none(), "read form only");
         assert!(m.prefilter().is_some());
         let bytes = frozen.to_sidecar_bytes().expect("frozen epochs serialize");
         let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();
@@ -635,22 +543,8 @@ mod tests {
         let snap = Snapshot::from_static(0, m.clone());
         let text = to_symbols("usherss");
         assert_eq!(snap.find_all(&ctx, &text), m.find_all(&ctx, &text));
-        assert!(snap.identity_bytes().is_none(), "texts unknown");
+        assert!(snap.to_sidecar_bytes().is_none(), "texts unknown");
         assert_eq!(snap.max_pattern_len(), 4);
-    }
-
-    #[test]
-    fn identity_bytes_roundtrip() {
-        let ctx = Ctx::seq();
-        let snap = Snapshot::build_static(&ctx, 42, pats()).unwrap();
-        let bytes = snap.identity_bytes().unwrap();
-        assert_eq!(Snapshot::peek_version(&bytes), Ok(SNAP_VERSION_IDENTITY));
-        let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();
-        assert_eq!(back.epoch(), 42);
-        assert_eq!(back.path(), SnapshotPath::FullRebuild, "v1 rebuilds");
-        assert_eq!(back.identity_bytes().unwrap(), bytes);
-        let text = to_symbols("ushers");
-        assert_eq!(back.find_all(&ctx, &text), snap.find_all(&ctx, &text));
     }
 
     #[test]
@@ -667,8 +561,6 @@ mod tests {
             "no naming rounds ran"
         );
         assert_eq!(back.patterns(), snap.patterns());
-        // Same identity: the cold-loaded snapshot serializes identically.
-        assert_eq!(back.identity_bytes(), snap.identity_bytes());
         for text in ["ushershishe", "hers his she he", ""] {
             let t = to_symbols(text);
             assert_eq!(back.find_all(&ctx, &t), snap.find_all(&ctx, &t), "{text:?}");
@@ -706,14 +598,35 @@ mod tests {
         assert_eq!(snap.find_all(&ctx, &to_symbols("anything")), vec![]);
         assert_eq!(snap.max_pattern_len(), 0);
         assert!(snap.matcher().is_none());
-        assert!(
-            snap.to_sidecar_bytes().is_none(),
-            "an empty epoch has no matcher to serialize"
-        );
-        let bytes = snap.identity_bytes().unwrap();
+    }
+
+    #[test]
+    fn empty_epoch_sidecar_round_trips() {
+        let ctx = Ctx::seq();
+        let bytes = Snapshot::build_empty(3).to_sidecar_bytes().unwrap();
+        assert_eq!(Snapshot::peek_version(&bytes), Ok(SNAP_VERSION));
         let back = Snapshot::from_bytes(&ctx, &bytes).unwrap();
         assert_eq!(back.epoch(), 3);
-        assert_eq!(back.pattern_count(), 0);
+        assert_eq!(back.path(), SnapshotPath::ColdLoaded);
+        assert_eq!(back.patterns(), Some(&[][..]));
+        assert!(back.matcher().is_none());
+        assert_eq!(back.find_all(&ctx, &to_symbols("anything")), vec![]);
+        assert_eq!(back.to_sidecar_bytes().unwrap(), bytes, "fixed point");
+        let info = inspect(&bytes).unwrap();
+        assert_eq!((info.version, info.epoch, info.patterns), (2, 3, 0));
+        assert_eq!(info.sections.len(), 2, "META and PATTERNS only");
+        // A build of the empty dictionary is the same epoch.
+        let built = Snapshot::build_static(&ctx, 3, Vec::new()).unwrap();
+        assert_eq!(built.to_sidecar_bytes().unwrap(), bytes);
+    }
+
+    /// The retired version-1 layout: header, epoch, then the pattern list.
+    fn v1_bytes(epoch: u64, patterns: &[Vec<Sym>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        codec::write_header(&mut out, SNAP_MAGIC, 1);
+        out.extend_from_slice(&epoch.to_le_bytes());
+        out.extend_from_slice(&encode_patterns(patterns));
+        out
     }
 
     #[test]
@@ -723,10 +636,10 @@ mod tests {
             Snapshot::from_bytes(&ctx, b"PDMX\x01\x00\x00\x00"),
             Err(SnapError::Corrupt(CodecError::BadMagic { .. }))
         ));
-        let mut bytes = Snapshot::build_empty(0).identity_bytes().unwrap();
+        let mut bytes = Snapshot::build_empty(0).to_sidecar_bytes().unwrap();
         bytes.push(0);
         assert!(Snapshot::from_bytes(&ctx, &bytes).is_err(), "trailing byte");
-        let mut v9 = Snapshot::build_empty(0).identity_bytes().unwrap();
+        let mut v9 = Snapshot::build_empty(0).to_sidecar_bytes().unwrap();
         v9[4..8].copy_from_slice(&9u32.to_le_bytes());
         assert!(matches!(
             Snapshot::from_bytes(&ctx, &v9),
@@ -764,9 +677,23 @@ mod tests {
     fn inspect_reports_both_versions() {
         let ctx = Ctx::seq();
         let snap = Snapshot::build_static(&ctx, 5, pats()).unwrap();
-        let v1 = inspect(&snap.identity_bytes().unwrap()).unwrap();
-        assert_eq!((v1.version, v1.epoch, v1.patterns), (1, 5, 4));
-        assert!(v1.sections.is_empty());
+        // Version 1 is no longer read, by the loader or by inspect.
+        let v1 = v1_bytes(5, &pats());
+        for err in [
+            Snapshot::from_bytes(&ctx, &v1).unwrap_err(),
+            inspect(&v1).unwrap_err(),
+        ] {
+            assert!(
+                matches!(
+                    err,
+                    SnapError::Corrupt(CodecError::VersionMismatch {
+                        found: 1,
+                        supported: SNAP_VERSION
+                    })
+                ),
+                "{err}"
+            );
+        }
         let v2 = inspect(&snap.to_sidecar_bytes().unwrap()).unwrap();
         assert_eq!((v2.version, v2.epoch, v2.patterns), (2, 5, 4));
         let ids: Vec<u32> = v2.sections.iter().map(|&(id, _)| id).collect();

@@ -18,8 +18,8 @@
 //!    past the threshold it rebuilds a `StaticMatcher` on the pool instead
 //!    (Theorem 3), which is cheaper than many incremental steps once the
 //!    batch is a sizable fraction of the dictionary. Both paths publish the
-//!    same read-only form, with identical canonical bytes and identical
-//!    match output.
+//!    same read-only form, with identical canonical pattern lists and
+//!    identical match output.
 //!
 //! **Cold start.** [`DictStore::open`] replays the log *structurally* —
 //! canonical slots, liveness, staged tail — without feeding the master
@@ -131,7 +131,8 @@ pub struct CompactReport {
 pub enum BootFallback {
     /// No `.snap` sidecar next to the log (or an in-memory store).
     NoSidecar,
-    /// The sidecar is a pre-v2 format — loadable only by rebuilding.
+    /// The sidecar has another format version (v1 held only the epoch and
+    /// pattern list), which is not read — boot rebuilds from the log.
     LegacyVersion(u32),
     /// The sidecar failed to read or validate (message has the detail).
     Unreadable(String),
@@ -428,7 +429,7 @@ impl DictStore {
     /// [`DictStore::snapshot`] and reports why in
     /// [`BootOutcome::fallback`].
     pub fn boot_snapshot(&mut self, ctx: &Ctx) -> Result<BootOutcome, StoreError> {
-        match self.try_cold_boot(ctx) {
+        match self.try_cold_boot() {
             Ok(snapshot) => Ok(BootOutcome {
                 snapshot,
                 fallback: None,
@@ -440,36 +441,18 @@ impl DictStore {
         }
     }
 
-    fn try_cold_boot(&self, ctx: &Ctx) -> Result<Arc<Snapshot>, BootFallback> {
+    fn try_cold_boot(&self) -> Result<Arc<Snapshot>, BootFallback> {
         let Some(path) = &self.path else {
             return Err(BootFallback::NoSidecar);
         };
-        let file = snap_path(path);
-        let bytes = match vfs::read(&file) {
+        let bytes = match vfs::read(&snap_path(path)) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Err(BootFallback::NoSidecar);
             }
             Err(e) => return Err(BootFallback::Unreadable(e.to_string())),
         };
-        match Snapshot::peek_version(&bytes) {
-            Ok(SNAP_VERSION) => {}
-            Ok(v) => return Err(BootFallback::LegacyVersion(v)),
-            Err(e) => return Err(BootFallback::Unreadable(e.to_string())),
-        }
-        let snap = Snapshot::from_bytes(ctx, &bytes)
-            .map_err(|e| BootFallback::Unreadable(e.to_string()))?;
-        if snap.epoch() != self.epoch {
-            return Err(BootFallback::StaleEpoch {
-                sidecar: snap.epoch(),
-                store: self.epoch,
-            });
-        }
-        let live = self.live_patterns();
-        if snap.patterns() != Some(&live[..]) {
-            return Err(BootFallback::StalePatterns);
-        }
-        Ok(Arc::new(snap))
+        boot_from_sidecar(&bytes, self.epoch, &self.live_patterns()).map(Arc::new)
     }
 
     /// Rewrite the log to its minimal form — one add per live pattern in
@@ -525,16 +508,14 @@ impl DictStore {
         vfs::sync_parent_dir(&path).map_err(LogError::Io)?;
         let (log, _) = LogFile::open(&path)?;
         self.log = Some(log);
-        // Emit the loadable snapshot beside the log: v2 (serialized built
-        // matcher) when the dictionary is non-empty, identity bytes (v1)
-        // for an empty one — an empty epoch has no matcher. A fresh build
-        // rather than the current epoch, so the bytes are a function of the
-        // pattern set alone. Written atomically so a crash mid-write leaves
-        // the previous good sidecar (or none) rather than a torn one.
-        let snap = Snapshot::build_static(ctx, self.epoch, self.live_patterns())?;
-        let bytes = snap
+        // Emit the loadable v2 snapshot beside the log (an empty
+        // dictionary's has no matcher sections). A fresh build rather than
+        // the current epoch, so the bytes are a function of the pattern set
+        // alone. Written atomically so a crash mid-write leaves the
+        // previous good sidecar (or none) rather than a torn one.
+        let bytes = Snapshot::build_static(ctx, self.epoch, self.live_patterns())?
             .to_sidecar_bytes()
-            .unwrap_or_else(|| crate::snapshot::encode_identity(self.epoch, &self.live_patterns()));
+            .expect("a store snapshot knows its pattern texts");
         vfs::atomic_write(&snap_path(&path), &bytes).map_err(LogError::Io)?;
         Ok(report)
     }
@@ -635,6 +616,34 @@ fn dyn_err(e: DynError) -> StoreError {
     }
 }
 
+/// The boot decision for a store at `epoch` with `live` committed patterns
+/// (canonical order) whose sidecar holds `bytes`: the cold-loaded epoch, or
+/// why boot must rebuild instead. [`DictStore::boot_snapshot`] and `pdm
+/// fsck` both decide through here, so they cannot disagree.
+pub fn boot_from_sidecar(
+    bytes: &[u8],
+    epoch: u64,
+    live: &[Vec<Sym>],
+) -> Result<Snapshot, BootFallback> {
+    match Snapshot::peek_version(bytes) {
+        Ok(SNAP_VERSION) => {}
+        Ok(v) => return Err(BootFallback::LegacyVersion(v)),
+        Err(e) => return Err(BootFallback::Unreadable(e.to_string())),
+    }
+    let snap = Snapshot::from_bytes(&Ctx::seq(), bytes)
+        .map_err(|e| BootFallback::Unreadable(e.to_string()))?;
+    if snap.epoch() != epoch {
+        return Err(BootFallback::StaleEpoch {
+            sidecar: snap.epoch(),
+            store: epoch,
+        });
+    }
+    if snap.patterns() != Some(live) {
+        return Err(BootFallback::StalePatterns);
+    }
+    Ok(snap)
+}
+
 /// The snapshot file emitted by compaction, next to the log.
 pub fn snap_path(log: &Path) -> PathBuf {
     let mut os = log.as_os_str().to_owned();
@@ -724,9 +733,9 @@ mod tests {
         assert_eq!(inc.path, SnapshotPath::Incremental);
         assert_eq!(full.path, SnapshotPath::FullRebuild);
         assert_eq!(
-            inc.snapshot.identity_bytes().unwrap(),
-            full.snapshot.identity_bytes().unwrap(),
-            "canonical bytes must not depend on the rebuild path"
+            (inc.snapshot.epoch(), inc.snapshot.patterns()),
+            (full.snapshot.epoch(), full.snapshot.patterns()),
+            "the canonical epoch must not depend on the rebuild path"
         );
         let text = to_symbols("usherssheher");
         assert_eq!(

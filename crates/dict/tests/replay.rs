@@ -8,7 +8,18 @@ use pdm_pram::Ctx;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-fn temp_log(name: &str) -> PathBuf {
+/// A test's store directory, removed when the guard drops — also when a
+/// failing assert unwinds through the test.
+struct TempDir(PathBuf);
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
+    }
+}
+
+/// A fresh store directory and the log path inside it.
+fn temp_log(name: &str) -> (TempDir, PathBuf) {
     static N: AtomicU32 = AtomicU32::new(0);
     let dir = std::env::temp_dir().join(format!(
         "pdm-dict-{}-{}-{}",
@@ -17,13 +28,14 @@ fn temp_log(name: &str) -> PathBuf {
         N.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("dict.log")
+    let log = dir.join("dict.log");
+    (TempDir(dir), log)
 }
 
 #[test]
 fn restart_recovers_committed_dictionary() {
     let ctx = Ctx::seq();
-    let path = temp_log("restart");
+    let (_dir, path) = temp_log("restart");
     {
         let mut store = DictStore::open(&path).unwrap();
         for p in symbolize(&["he", "she", "his", "hers"]) {
@@ -46,7 +58,7 @@ fn restart_recovers_committed_dictionary() {
 #[test]
 fn torn_tail_is_truncated_on_reopen() {
     let ctx = Ctx::seq();
-    let path = temp_log("torn");
+    let (_dir, path) = temp_log("torn");
     {
         let mut store = DictStore::open(&path).unwrap();
         store.stage_add(&to_symbols("keep")).unwrap();
@@ -71,8 +83,8 @@ fn torn_tail_is_truncated_on_reopen() {
 #[test]
 fn compaction_roundtrip_preserves_state_and_emits_snapshot() {
     let ctx = Ctx::seq();
-    let path = temp_log("compact");
-    let (before_live, before_epoch, before_bytes) = {
+    let (_dir, path) = temp_log("compact");
+    let (before_live, before_epoch, before_patterns) = {
         let mut store = DictStore::open(&path).unwrap();
         for p in symbolize(&["alpha", "beta", "gamma", "delta"]) {
             store.stage_add(&p).unwrap();
@@ -88,7 +100,7 @@ fn compaction_roundtrip_preserves_state_and_emits_snapshot() {
         (
             store.live_patterns(),
             store.epoch(),
-            out.snapshot.identity_bytes().unwrap(),
+            out.snapshot.patterns().unwrap().to_vec(),
         )
     };
     // Replay of the compacted log reproduces the exact state.
@@ -102,8 +114,8 @@ fn compaction_roundtrip_preserves_state_and_emits_snapshot() {
     let snap = Snapshot::from_bytes(&ctx, &snap_bytes).unwrap();
     assert_eq!(snap.epoch(), before_epoch);
     assert_eq!(
-        snap.identity_bytes().unwrap(),
-        before_bytes,
+        snap.patterns().unwrap(),
+        &before_patterns[..],
         "snapshot file is canonical for the committed set"
     );
     // The loadable snapshot actually matches.
@@ -114,7 +126,7 @@ fn compaction_roundtrip_preserves_state_and_emits_snapshot() {
 #[test]
 fn compaction_then_further_commits_replay() {
     let ctx = Ctx::seq();
-    let path = temp_log("compact-then-append");
+    let (_dir, path) = temp_log("compact-then-append");
     {
         let mut store = DictStore::open(&path).unwrap();
         for i in 0..20u32 {
@@ -139,7 +151,7 @@ fn compaction_then_further_commits_replay() {
 #[test]
 fn boot_cold_loads_fresh_sidecar() {
     let ctx = Ctx::seq();
-    let path = temp_log("boot-cold");
+    let (_dir, path) = temp_log("boot-cold");
     {
         let mut store = DictStore::open(&path).unwrap();
         for p in symbolize(&["he", "she", "his", "hers"]) {
@@ -172,7 +184,7 @@ fn boot_falls_back_with_reasons() {
     let ctx = Ctx::seq();
 
     // No sidecar at all (never compacted).
-    let path = temp_log("boot-nosnap");
+    let (_dir, path) = temp_log("boot-nosnap");
     {
         let mut store = DictStore::open(&path).unwrap();
         store.stage_add(&to_symbols("solo")).unwrap();
@@ -183,9 +195,17 @@ fn boot_falls_back_with_reasons() {
     assert_eq!(boot.fallback, Some(BootFallback::NoSidecar));
     assert_eq!(boot.snapshot.pattern_count(), 1);
 
-    // Legacy v1 sidecar: loadable, but only by rebuilding — boot reports it.
+    // Legacy v1 sidecar (header, epoch, pattern list): not read, so boot
+    // rebuilds and reports why.
     let snap_file = pdm_dict::store::snap_path(&path);
-    let v1 = pdm_dict::snapshot::encode_identity(1, &store.live_patterns());
+    let mut v1 = Vec::new();
+    pdm_primitives::codec::write_header(&mut v1, pdm_dict::snapshot::SNAP_MAGIC, 1);
+    v1.extend_from_slice(&1u64.to_le_bytes());
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&4u32.to_le_bytes());
+    for b in "solo".bytes() {
+        v1.extend_from_slice(&u32::from(b).to_le_bytes());
+    }
     std::fs::write(&snap_file, v1).unwrap();
     let boot = store.boot_snapshot(&ctx).unwrap();
     assert_eq!(boot.fallback, Some(BootFallback::LegacyVersion(1)));
@@ -237,7 +257,7 @@ fn boot_falls_back_with_reasons() {
 #[test]
 fn lazy_hydration_defers_naming_until_first_commit() {
     let ctx = Ctx::seq();
-    let path = temp_log("hydrate");
+    let (_dir, path) = temp_log("hydrate");
     {
         let mut store = DictStore::open(&path).unwrap();
         for p in symbolize(&["aa", "bb", "cc"]) {

@@ -176,18 +176,9 @@ impl NameTable {
         self.table.is_empty()
     }
 
-    /// All `(a, b, name)` entries, unordered (serialization support).
+    /// All `(a, b, name)` entries, unordered (freezing support).
     pub fn entries(&self) -> Vec<(u32, u32, u32)> {
         self.table.entries()
-    }
-
-    /// Rebuild a table from serialized entries, preserving name values.
-    pub fn from_entries(entries: &[(u32, u32, u32)], pool: Arc<NamePool>) -> Self {
-        let t = Self::with_capacity(entries.len(), pool);
-        for &(a, b, v) in entries {
-            t.insert_assoc(a, b, v);
-        }
-        t
     }
 
     /// Freeze the current contents into a read-only, atomics-free table for
@@ -209,7 +200,7 @@ pub struct FrozenNameTable {
 }
 
 impl FrozenNameTable {
-    /// Freeze an explicit entry list (mirror of [`NameTable::from_entries`]).
+    /// Freeze an explicit `(a, b, name)` entry list.
     pub fn from_entries(entries: &[(u32, u32, u32)]) -> Self {
         Self {
             table: FrozenPairTable::from_entries(entries),

@@ -2,9 +2,11 @@
 //!
 //! Three artifacts live next to user data on disk — the pdm-dict
 //! append-only log (`PDML`), the corpus index sidecar (`PDMX`), and the
-//! built-matcher snapshot (`PDMS`). They historically each carried their own
-//! magic/version/CRC plumbing and their own corruption-error shape; this
-//! module is the single implementation all three now share:
+//! built-matcher snapshot (`PDMS`, which also carries the frozen `PDMT`
+//! tables and is what both `pdm dict compact` and `pdm build` write). They
+//! historically each carried their own magic/version/CRC plumbing and their
+//! own corruption-error shape; this module is the single implementation all
+//! three now share:
 //!
 //! * an 8-byte header — 4-byte magic + `u32` LE format version — with
 //!   read/validate helpers ([`write_header`] / [`read_header`]);
@@ -26,8 +28,8 @@ use crate::crc::{crc32, Crc32};
 /// The one way any sidecar reaches disk: durable atomic replacement via
 /// the [`crate::vfs`] plane (temp file → fsync → rename → fsync parent
 /// dir). Re-exported here because "how a format is framed" and "how its
-/// bytes become durable" are the same contract — every `PDM1`, `PDMS`,
-/// `PDMX` and rewritten `PDML` write goes through this helper, so a
+/// bytes become durable" are the same contract — every `PDMS`, `PDMX`
+/// and rewritten `PDML` write goes through this helper, so a
 /// crash at any instant leaves the previous file intact or the new file
 /// complete, never a torn mixture.
 pub use crate::vfs::atomic_write;

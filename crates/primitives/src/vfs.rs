@@ -1,7 +1,7 @@
 //! Injectable disk I/O plane: every byte the workspace persists goes
 //! through here.
 //!
-//! The on-disk formats (`PDML` logs, `PDMS`/`PDMX`/`PDM1` sidecars) are
+//! The on-disk formats (`PDML` logs, `PDMS`/`PDMX` sidecars) are
 //! only as durable as the syscalls beneath them, and disks fail in ways
 //! unit tests never exercise: a write torn mid-buffer by a crash, an
 //! fsync that never ran, a rename that completed but whose directory

@@ -8,7 +8,10 @@
 # "cold-loaded" and still find every occurrence. `pdm snap inspect`
 # validates both sidecar and log framing, and a corrupted sidecar must
 # fail inspection while `pdm match` falls back to a rebuild with
-# identical output.
+# identical output. `pdm build` writes the same v2 sidecar as an index:
+# it must pass inspection and `pdm match --index` must print exactly what
+# `pdm match --dict` prints. Finally a dictionary compacted while empty
+# must boot "cold-loaded" from its (matcher-less) v2 sidecar.
 #
 # Usage: scripts/snap_smoke.sh
 set -euo pipefail
@@ -63,5 +66,31 @@ fi
 "$bin" match --dict-log "$log" --text "$tmp/text.bin" >"$tmp/corrupt.out"
 grep -q "rebuilt (" "$tmp/corrupt.out"
 diff <(grep -v '^#' "$tmp/cold.out") <(grep -v '^#' "$tmp/corrupt.out")
+
+# `pdm build` writes the v2 sidecar; matching from it is byte-identical
+# to matching from the pattern file.
+printf 'he\nshe\nhers\n' >"$tmp/dict.txt"
+"$bin" build --dict "$tmp/dict.txt" --out "$tmp/index.snap" >/dev/null
+"$bin" snap inspect --file "$tmp/index.snap" | tee "$tmp/index-inspect.out"
+grep -q "PDMS v2" "$tmp/index-inspect.out"
+grep -q "crc: OK" "$tmp/index-inspect.out"
+for mode in "" --all --stream; do
+    "$bin" match --index "$tmp/index.snap" --text "$tmp/text.bin" $mode >"$tmp/index.out"
+    "$bin" match --dict "$tmp/dict.txt" --text "$tmp/text.bin" $mode >"$tmp/dict.out"
+    cmp "$tmp/index.out" "$tmp/dict.out"
+done
+
+# An empty dictionary compacts to a v2 sidecar and boots from it.
+empty="$tmp/empty.pdml"
+"$bin" dict add --pattern he --log "$empty" >/dev/null
+"$bin" dict commit --log "$empty" >/dev/null
+"$bin" dict remove --pattern he --log "$empty" >/dev/null
+"$bin" dict commit --log "$empty" >/dev/null
+"$bin" dict compact --log "$empty" >/dev/null
+"$bin" snap inspect --file "$empty.snap" | grep -q "patterns: 0"
+"$bin" match --dict-log "$empty" --text "$tmp/text.bin" >"$tmp/empty.out"
+grep -q "cold-loaded from" "$tmp/empty.out"
+grep -q "# 0 occurrences" "$tmp/empty.out"
+"$bin" fsck --log "$empty" | grep -q "boot path: cold-load from sidecar"
 
 echo "snap smoke: OK"

@@ -1,9 +1,9 @@
 //! Command-line interface logic (the `pdm` binary is a thin wrapper).
 //!
 //! ```text
-//! pdm build  --dict words.txt --out index.pdm
+//! pdm build  --dict words.txt --out index.snap
 //! pdm match  --dict words.txt --text corpus.bin [--threads N] [--all]
-//! pdm match  --index index.pdm --text corpus.bin
+//! pdm match  --index index.snap --text corpus.bin
 //! pdm prefix --dict words.txt --text corpus.bin
 //! pdm stats  --dict words.txt
 //! pdm gen    --out corpus.bin --bytes 1048576 [--seed 7] [--markov]
@@ -19,6 +19,7 @@
 
 use crate::prelude::*;
 use std::io::Write;
+use std::sync::Arc;
 
 /// Where the dictionary comes from.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +201,9 @@ Dictionary files: one pattern per line. Texts are matched byte-wise.
 `--stream` feeds the text chunk-at-a-time through the streaming matcher
 (implies `--all`; default chunk 65536 bytes), matching what `serve` does
 per connection.
-`build` serializes the preprocessed index for repeated `match --index` runs.
+`build` writes the preprocessed dictionary as a `.snap` sidecar (PDMS v2,
+CRC-checked, the form `dict compact` writes) for repeated `--index` runs;
+`match --index` prints what `match --dict` prints.
 `serve` answers the length-prefixed TCP protocol in pdm_stream::proto;
 one connection = one stream session over a shared dictionary.
 `--read-timeout-ms` closes idle connections (0 = never, the default);
@@ -601,8 +604,6 @@ pub enum CliError {
     NoPatterns(String),
     /// Matcher construction failed.
     Build(BuildError),
-    /// A serialized `PDM1`/`PDMT` matcher index failed to load.
-    MatcherLoad(pdm_core::static1d::serial::LoadError),
     /// Dictionary log/store failure.
     Store {
         path: String,
@@ -620,7 +621,6 @@ impl std::fmt::Display for CliError {
             Self::Io { path, source } => write!(f, "{path}: {source}"),
             Self::NoPatterns(path) => write!(f, "{path}: no patterns"),
             Self::Build(e) => write!(f, "{e}"),
-            Self::MatcherLoad(e) => write!(f, "{e}"),
             Self::Store { path, source } => write!(f, "{path}: {source}"),
             Self::Snap(e) => write!(f, "{e}"),
             Self::Corrupt(e) => write!(f, "{e}"),
@@ -634,7 +634,6 @@ impl std::error::Error for CliError {
             Self::Io { source, .. } => Some(source),
             Self::NoPatterns(_) => None,
             Self::Build(e) => Some(e),
-            Self::MatcherLoad(e) => Some(e),
             Self::Store { source, .. } => Some(source),
             Self::Snap(e) => Some(e),
             Self::Corrupt(e) => Some(e),
@@ -694,20 +693,22 @@ pub fn load_text(path: &str) -> Result<Vec<Sym>, CliError> {
     Ok(data.into_iter().map(Sym::from).collect())
 }
 
-/// A matcher plus, when built from `--dict`, the pattern texts for display.
-type ResolvedMatcher = (StaticMatcher, Option<Vec<Vec<Sym>>>);
+/// A matcher plus its pattern texts, for display.
+type ResolvedMatcher = (Arc<StaticMatcher>, Vec<Vec<Sym>>);
 
 fn resolve_matcher(dict: &DictSource, ctx: &Ctx) -> Result<ResolvedMatcher, CliError> {
     match dict {
         DictSource::Patterns(path) => {
             let pats = load_dictionary(path)?;
             let m = StaticMatcher::build(ctx, &pats)?;
-            Ok((m, Some(pats)))
+            Ok((Arc::new(m), pats))
         }
         DictSource::Index(path) => {
             let data = std::fs::read(path).map_err(io_err(path))?;
-            let m = StaticMatcher::from_bytes(&data).map_err(CliError::MatcherLoad)?;
-            Ok((m, None))
+            match pdm_dict::Snapshot::from_bytes(ctx, &data)?.into_parts() {
+                (Some(m), Some(pats)) => Ok((m, pats)),
+                _ => Err(CliError::NoPatterns(path.clone())),
+            }
         }
         DictSource::Log(path) => Err(CliError::Store {
             path: path.clone(),
@@ -790,23 +791,25 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                 }
             };
             let ctx = Ctx::par();
-            let m = match StaticMatcher::build(&ctx, &pats) {
-                Ok(m) => m,
+            let symbols: usize = pats.iter().map(Vec::len).sum();
+            let snap = match pdm_dict::Snapshot::build_static(&ctx, 0, pats) {
+                Ok(s) => s,
                 Err(e) => {
                     writeln!(w, "error: {e}")?;
                     return Ok(2);
                 }
             };
-            let bytes = m.to_bytes();
+            let bytes = snap
+                .to_sidecar_bytes()
+                .expect("a built snapshot knows its pattern texts");
             // Atomic + durable: a crash mid-write must not tear a
             // previously good index at the same path.
             match pdm_primitives::vfs::atomic_write(std::path::Path::new(&out), &bytes) {
                 Ok(()) => {
                     writeln!(
                         w,
-                        "indexed {} patterns ({} symbols) into {out}: {} bytes",
-                        m.pattern_count(),
-                        m.symbol_count(),
+                        "indexed {} patterns ({symbols} symbols) into {out}: {} bytes",
+                        snap.pattern_count(),
                         bytes.len()
                     )?;
                     Ok(0)
@@ -844,30 +847,13 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                 }
             };
             let show = |w: &mut dyn Write, i: usize, p: PatId| -> std::io::Result<()> {
-                match &pats {
-                    Some(pats) => {
-                        let pat = &pats[p as usize];
-                        let txt: String = pat
-                            .iter()
-                            .map(|&c| char::from(c as u8))
-                            .map(|c| {
-                                if c.is_ascii_graphic() || c == ' ' {
-                                    c
-                                } else {
-                                    '.'
-                                }
-                            })
-                            .collect();
-                        writeln!(w, "{i}\t{p}\t{txt}")
-                    }
-                    None => writeln!(w, "{i}\t{p}"),
-                }
+                writeln!(w, "{i}\t{p}\t{}", printable(&pats[p as usize]))
             };
             let mut count = 0usize;
             if stream {
                 // Same chunk-at-a-time path a `serve` session runs;
                 // reports all occurrences with absolute offsets.
-                let mut sm = pdm_stream::StreamMatcher::new(std::sync::Arc::new(m));
+                let mut sm = pdm_stream::StreamMatcher::new(m);
                 for c in txt.chunks(chunk_bytes) {
                     for occ in sm.push(&ctx, c) {
                         show(w, occ.start as usize, occ.pat)?;
@@ -1202,7 +1188,7 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                     }
                 };
                 let banner = format!("serving {} patterns on", m.pattern_count());
-                match pdm_stream::Server::bind(("0.0.0.0", port), std::sync::Arc::new(m), cfg) {
+                match pdm_stream::Server::bind(("0.0.0.0", port), m, cfg) {
                     Ok(s) => (s, banner),
                     Err(e) => {
                         writeln!(w, "error: bind port {port}: {e}")?;
@@ -1358,30 +1344,32 @@ fn run_match_log(log: &str, txt: &[Sym], ctx: &Ctx, w: &mut impl Write) -> std::
             boot.snapshot.epoch()
         )?,
     }
-    let pats = boot.snapshot.patterns().map(<[Vec<Sym>]>::to_vec);
+    let pats = boot
+        .snapshot
+        .patterns()
+        .expect("a store snapshot knows its pattern texts");
     let mut count = 0usize;
     for (i, p) in boot.snapshot.find_all(ctx, txt) {
-        match &pats {
-            Some(pats) => {
-                let shown: String = pats[p as usize]
-                    .iter()
-                    .map(|&c| char::from(c as u8))
-                    .map(|c| {
-                        if c.is_ascii_graphic() || c == ' ' {
-                            c
-                        } else {
-                            '.'
-                        }
-                    })
-                    .collect();
-                writeln!(w, "{i}\t{p}\t{shown}")?;
-            }
-            None => writeln!(w, "{i}\t{p}")?,
-        }
+        writeln!(w, "{i}\t{p}\t{}", printable(&pats[p as usize]))?;
         count += 1;
     }
     writeln!(w, "# {count} occurrences in {} bytes", txt.len())?;
     Ok(0)
+}
+
+/// A pattern as `match` prints it: bytes as characters, anything but ASCII
+/// graphics and space as `.`.
+fn printable(pat: &[Sym]) -> String {
+    pat.iter()
+        .map(|&c| char::from(c as u8))
+        .map(|c| {
+            if c.is_ascii_graphic() || c == ' ' {
+                c
+            } else {
+                '.'
+            }
+        })
+        .collect()
 }
 
 /// `pdm snap inspect`: report magic, version, CRC status, and sections of
@@ -1403,12 +1391,7 @@ fn run_snap_inspect(file: &str, w: &mut impl Write) -> std::io::Result<i32> {
     match &bytes[..4] {
         b"PDMS" => match pdm_dict::inspect(&bytes) {
             Ok(info) => {
-                let kind = if info.version >= 2 {
-                    "built-matcher snapshot"
-                } else {
-                    "identity snapshot (legacy; load rebuilds)"
-                };
-                writeln!(w, "format: PDMS v{} — {kind}", info.version)?;
+                writeln!(w, "format: PDMS v{} — built-matcher snapshot", info.version)?;
                 writeln!(w, "epoch: {}", info.epoch)?;
                 writeln!(w, "patterns: {}", info.patterns)?;
                 for &(id, len) in &info.sections {
@@ -1417,16 +1400,12 @@ fn run_snap_inspect(file: &str, w: &mut impl Write) -> std::io::Result<i32> {
                         pdm_dict::snapshot::SEC_PATTERNS => "PATTERNS",
                         pdm_dict::snapshot::SEC_TABLES => "TABLES",
                         pdm_dict::snapshot::SEC_CHAINS => "CHAINS",
+                        pdm_dict::snapshot::SEC_PREFILTER => "PREFILTER",
                         _ => "?",
                     };
                     writeln!(w, "section {name} (id {id}): {len} bytes")?;
                 }
-                let crc = if info.version >= 2 {
-                    "OK"
-                } else {
-                    "none (v1 has no checksum)"
-                };
-                writeln!(w, "crc: {crc}")?;
+                writeln!(w, "crc: OK")?;
                 Ok(0)
             }
             Err(e) => {
@@ -2218,22 +2197,118 @@ mod tests {
             .unwrap(),
             0
         );
-        let mut out = Vec::new();
-        let code = run(
-            Command::Match {
-                dict: DictSource::Index(ipath.to_string_lossy().into()),
-                text: tpath.to_string_lossy().into(),
-                threads: Some(1),
-                all: true,
-                stream: false,
-                chunk_bytes: 64 * 1024,
-            },
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(code, 0);
-        let s = String::from_utf8(out).unwrap();
+        assert_eq!(&std::fs::read(&ipath).unwrap()[..4], b"PDMS");
+        let matched = |dict: DictSource, all: bool, stream: bool| -> String {
+            let mut out = Vec::new();
+            let code = run(
+                Command::Match {
+                    dict,
+                    text: tpath.to_string_lossy().into(),
+                    threads: Some(1),
+                    all,
+                    stream,
+                    chunk_bytes: 4,
+                },
+                &mut out,
+            )
+            .unwrap();
+            let s = String::from_utf8(out).unwrap();
+            assert_eq!(code, 0, "{s}");
+            s
+        };
+        let index = || DictSource::Index(ipath.to_string_lossy().into());
+        let patterns = || DictSource::Patterns(dpath.to_string_lossy().into());
+        // The index prints what the dictionary prints, byte for byte.
+        for (all, stream) in [(false, false), (true, false), (false, true)] {
+            assert_eq!(
+                matched(index(), all, stream),
+                matched(patterns(), all, stream),
+                "all {all}, stream {stream}"
+            );
+        }
+        let s = matched(index(), true, false);
         assert!(s.contains("# 3 occurrences"), "{s}");
+        assert!(s.contains("2\t2\thers"), "{s}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// An empty compacted store boots from its v2 sidecar, and fsck says
+    /// so; a version-1 sidecar makes both report the legacy rebuild.
+    #[test]
+    fn empty_and_legacy_sidecars_boot_as_fsck_reports() {
+        let dir = std::env::temp_dir().join(format!("pdm-cli-emptylog-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let log: String = dir.join("dict.pdml").to_string_lossy().into();
+        let tpath = dir.join("text.bin");
+        std::fs::write(&tpath, "ushers").unwrap();
+        for op in [
+            DictOp::Add {
+                pattern: "he".into(),
+            },
+            DictOp::Commit,
+            DictOp::Remove {
+                pattern: "he".into(),
+            },
+            DictOp::Commit,
+            DictOp::Compact,
+        ] {
+            let mut out = Vec::new();
+            let target = DictTarget::Log(log.clone());
+            assert_eq!(run(Command::Dict { op, target }, &mut out).unwrap(), 0);
+        }
+        let match_log = || -> String {
+            let mut out = Vec::new();
+            let code = run(
+                Command::Match {
+                    dict: DictSource::Log(log.clone()),
+                    text: tpath.to_string_lossy().into(),
+                    threads: Some(1),
+                    all: false,
+                    stream: false,
+                    chunk_bytes: 64 * 1024,
+                },
+                &mut out,
+            )
+            .unwrap();
+            let s = String::from_utf8(out).unwrap();
+            assert_eq!(code, 0, "{s}");
+            s
+        };
+        let fsck = || -> String {
+            let mut out = Vec::new();
+            let code = run(
+                Command::Fsck {
+                    log: Some(log.clone()),
+                    index: None,
+                    repair: false,
+                },
+                &mut out,
+            )
+            .unwrap();
+            let s = String::from_utf8(out).unwrap();
+            assert_eq!(code, 0, "{s}");
+            s
+        };
+        let s = match_log();
+        assert!(s.contains("epoch 2: cold-loaded from"), "{s}");
+        assert!(s.contains("# 0 occurrences"), "{s}");
+        let s = fsck();
+        assert!(s.contains("boot path: cold-load from sidecar"), "{s}");
+
+        // A version-1 sidecar for the same epoch: header, epoch 2, no
+        // patterns.
+        let mut v1 = Vec::new();
+        pdm_primitives::codec::write_header(&mut v1, pdm_dict::snapshot::SNAP_MAGIC, 1);
+        v1.extend_from_slice(&2u64.to_le_bytes());
+        v1.extend_from_slice(&0u32.to_le_bytes());
+        std::fs::write(format!("{log}.snap"), &v1).unwrap();
+        let s = match_log();
+        assert!(s.contains("rebuilt (snapshot is legacy format v1)"), "{s}");
+        let s = fsck();
+        assert!(
+            s.contains("boot path: rebuild (legacy sidecar format v1)"),
+            "{s}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -2768,7 +2843,16 @@ mod tests {
         assert_eq!(code, 0, "{s}");
         assert!(s.contains("PDMS v2"), "{s}");
         assert!(s.contains("patterns: 3"), "{s}");
-        assert!(s.contains("section TABLES"), "{s}");
+        for (name, id) in [
+            ("META", 1),
+            ("PATTERNS", 2),
+            ("TABLES", 3),
+            ("CHAINS", 4),
+            ("PREFILTER", 5),
+        ] {
+            assert!(s.contains(&format!("section {name} (id {id})")), "{s}");
+        }
+        assert!(!s.contains("section ?"), "{s}");
         assert!(s.contains("crc: OK"), "{s}");
 
         // snap inspect on the log itself (PDML).

@@ -3,9 +3,12 @@
 //! moved off its probe path (lookups could never find it), and an
 //! attribution map naming a pattern that does not exist. `pdm snap
 //! inspect` rejects each (exit 2), `pdm fsck` flags it (exit 1), and `pdm
-//! serve` boots by rebuilding (reporting why) and then serves matches.
-//! Every `pdm` process runs under a deadline, so a loader that hangs fails
-//! the test instead of stalling it.
+//! serve` boots by rebuilding (reporting why) and then serves matches. A
+//! `pdm build` index is the same sidecar, so `pdm match --index` and `pdm
+//! stats --index` refuse a crafted one — and a file in the retired `PDM1`
+//! index format — with a typed error (exit 2), never a panic. Every `pdm`
+//! process runs under a deadline, so a loader that hangs fails the test
+//! instead of stalling it.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -84,11 +87,10 @@ fn table_layout(t: &[u8]) -> (Vec<(usize, usize)>, usize) {
     (tables, at)
 }
 
-/// Rewrite the sidecar's tables section with `edit`, re-sealing the file
-/// (its whole-file CRC stays valid).
-fn craft(log: &Path, edit: fn(&mut [u8])) {
-    let path = snap_path(log);
-    let bytes = std::fs::read(&path).unwrap();
+/// Rewrite the tables section of the sidecar at `path` with `edit`,
+/// re-sealing the file (its whole-file CRC stays valid).
+fn craft(path: &Path, edit: fn(&mut [u8])) {
+    let bytes = std::fs::read(path).unwrap();
     let r = SectionReader::open(&bytes, SNAP_MAGIC).unwrap();
     let mut w = SectionWriter::new();
     for (id, _) in r.sections() {
@@ -98,7 +100,7 @@ fn craft(log: &Path, edit: fn(&mut [u8])) {
         }
         w.section(id, sec);
     }
-    std::fs::write(&path, w.finish(SNAP_MAGIC, SNAP_VERSION)).unwrap();
+    std::fs::write(path, w.finish(SNAP_MAGIC, SNAP_VERSION)).unwrap();
 }
 
 fn key_at(t: &[u8], table_at: usize, slot: usize) -> u64 {
@@ -224,7 +226,7 @@ fn malformed_frozen_tables_are_refused_everywhere() {
     ];
     for (tag, edit, why) in cases {
         let log = compacted_store(tag);
-        craft(&log, edit);
+        craft(&snap_path(&log), edit);
 
         let out = run(pdm()
             .args(["snap", "inspect", "--file"])
@@ -246,4 +248,52 @@ fn malformed_frozen_tables_are_refused_everywhere() {
 
         std::fs::remove_dir_all(log.parent().unwrap()).ok();
     }
+}
+
+#[test]
+fn crafted_and_retired_indexes_are_refused() {
+    let dir = std::env::temp_dir().join(format!("pdm-crafted-index-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let dict = dir.join("dict.txt");
+    let text = dir.join("text.bin");
+    std::fs::write(&dict, "he\nshe\nhers\n").unwrap();
+    std::fs::write(&text, "ushers").unwrap();
+
+    let badpid = dir.join("badpid.pdm");
+    let out = run(pdm()
+        .args(["build", "--dict"])
+        .arg(&dict)
+        .arg("--out")
+        .arg(&badpid));
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    craft(&badpid, pattern_out_of_range);
+    // The retired entry-list format: its magic, version 1, then a body.
+    let pdm1 = dir.join("old.pdm");
+    let mut old = b"PDM1".to_vec();
+    old.extend_from_slice(&1u32.to_le_bytes());
+    old.extend_from_slice(&[0u8; 64]);
+    std::fs::write(&pdm1, &old).unwrap();
+
+    for (index, why) in [(&badpid, "names pattern 999"), (&pdm1, "magic")] {
+        for args in [
+            &["match", "--all", "--text"][..],
+            &["match", "--text"][..],
+            &["stats"][..],
+        ] {
+            let mut cmd = pdm();
+            cmd.args(args);
+            if args.len() > 1 {
+                cmd.arg(&text);
+            }
+            let out = run(cmd.arg("--index").arg(index));
+            let s = String::from_utf8_lossy(&out.stdout);
+            let e = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?} {index:?}: {s}{e}");
+            assert!(s.starts_with("error: "), "{args:?} {index:?}: {s}");
+            assert!(s.contains(why), "{args:?} {index:?}: {s}");
+            assert!(!e.contains("panicked"), "{args:?} {index:?}: {e}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

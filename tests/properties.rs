@@ -268,7 +268,8 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Serialized indexes round-trip to behaviourally identical matchers.
+    /// A `pdm build` index — the v2 sidecar — round-trips to a
+    /// behaviourally identical matcher with the same pattern texts.
     #[test]
     fn index_serialization_roundtrip(
         pats in vec(vec(0u32..4, 1..10), 1..6),
@@ -279,8 +280,15 @@ proptest! {
         uniq.dedup();
         let ctx = Ctx::seq();
         let m = StaticMatcher::build(&ctx, &uniq).unwrap();
-        let loaded = StaticMatcher::from_bytes(&m.to_bytes()).unwrap();
+        let bytes = pdm_dict::Snapshot::build_static(&ctx, 0, uniq.clone())
+            .unwrap()
+            .to_sidecar_bytes()
+            .unwrap();
+        let snap = pdm_dict::Snapshot::from_bytes(&ctx, &bytes).unwrap();
+        prop_assert_eq!(snap.patterns(), Some(&uniq[..]));
+        let loaded = snap.matcher().unwrap();
         prop_assert_eq!(m.match_text(&ctx, &text), loaded.match_text(&ctx, &text));
+        prop_assert_eq!(m.find_all(&ctx, &text), loaded.find_all(&ctx, &text));
     }
 
     /// Chunked matching equals whole-text matching for any chunk size.
