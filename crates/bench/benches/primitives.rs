@@ -1,10 +1,9 @@
-//! Criterion bench for the PRAM primitive substrates: scans, radix sort,
+//! Criterion bench for the PRAM primitive substrates: scans and the
 //! concurrent name table — the constant factors everything else sits on.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pdm_naming::{NamePool, NameTable};
 use pdm_pram::Ctx;
-use pdm_primitives::radix::radix_sort_by_key;
 use pdm_primitives::scan::{prefix_sums, scan_inclusive};
 
 fn bench(c: &mut Criterion) {
@@ -23,25 +22,6 @@ fn bench(c: &mut Criterion) {
         b.iter(|| scan_inclusive(&par, &data, 0u64, |a, x| a + x))
     });
     g.bench_function("prefix_sums_par", |b| b.iter(|| prefix_sums(&par, &data)));
-    g.finish();
-
-    let recs: Vec<(u64, u32)> = data
-        .iter()
-        .enumerate()
-        .map(|(i, &k)| (k, i as u32))
-        .collect();
-    let mut g = c.benchmark_group("radix_sort");
-    g.sample_size(10);
-    g.throughput(Throughput::Elements(n as u64));
-    g.bench_function("seq", |b| b.iter(|| radix_sort_by_key(&seq, &recs)));
-    g.bench_function("par", |b| b.iter(|| radix_sort_by_key(&par, &recs)));
-    g.bench_function("std_sort_baseline", |b| {
-        b.iter(|| {
-            let mut v = recs.clone();
-            v.sort_by_key(|r| r.0);
-            v
-        })
-    });
     g.finish();
 
     let mut g = c.benchmark_group("name_table");

@@ -38,6 +38,7 @@ use crate::dict::{PatId, Sym};
 use crate::static1d::tables::ReadTables;
 use crate::static1d::{self, MatchOutput, MatchTables, PrefixMatch, StaticMatcher, StaticTables};
 use pdm_naming::dynamic::{DynTable, StampList};
+use pdm_naming::prefix::{dyadic_names, fold_step};
 use pdm_naming::{FrozenNameTable, NamePool, IDENTITY};
 use pdm_pram::{ceil_log2, Ctx};
 use pdm_primitives::FxHashMap;
@@ -373,11 +374,9 @@ impl DynamicMatcher {
             }
         }
         for l in 1..=lam {
-            let low = l & l.wrapping_neg();
-            let hi = l - low;
+            let (k, hi) = fold_step(l);
             if hi > 0 {
-                let k = low.trailing_zeros() as usize;
-                self.fold.release(prefs[hi - 1], blocks[k][hi / low]);
+                self.fold.release(prefs[hi - 1], blocks[k][hi >> k]);
             }
         }
         for (k, lvl) in blocks.iter().enumerate().skip(1) {
@@ -427,42 +426,6 @@ impl DynamicMatcher {
             self.insert_into_tables(ctx, pid);
         }
     }
-}
-
-/// Aligned block names and prefix names of one pattern — the static
-/// build's dyadic left-fold — naming symbols, block pairs and fold steps
-/// through the given functions (allocating on insert, looking up
-/// otherwise).
-fn dyadic_names(
-    pattern: &[Sym],
-    mut sym: impl FnMut(Sym) -> u32,
-    mut pair: impl FnMut(usize, u32, u32) -> u32,
-    mut fold: impl FnMut(u32, u32) -> u32,
-) -> (Vec<Vec<u32>>, Vec<u32>) {
-    let lam = pattern.len();
-    let k_max = pdm_pram::floor_log2(lam) as usize;
-    let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(k_max + 1);
-    blocks.push(pattern.iter().map(|&c| sym(c)).collect());
-    for k in 1..=k_max {
-        let prev = &blocks[k - 1];
-        let lvl = (0..prev.len() / 2)
-            .map(|b| pair(k, prev[2 * b], prev[2 * b + 1]))
-            .collect();
-        blocks.push(lvl);
-    }
-    let mut prefs = vec![IDENTITY; lam];
-    for l in 1..=lam {
-        let low = l & l.wrapping_neg();
-        let k = low.trailing_zeros() as usize;
-        let hi = l - low;
-        let block = blocks[k][hi / low];
-        prefs[l - 1] = if hi == 0 {
-            block
-        } else {
-            fold(prefs[hi - 1], block)
-        };
-    }
-    (blocks, prefs)
 }
 
 impl MatchTables for DynamicMatcher {

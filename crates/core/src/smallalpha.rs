@@ -436,7 +436,7 @@ impl SmallAlphaMatcher {
         // (the per-window `Vec` collection dominated this path's profile),
         // and one pool dispatch instead of a fine-grained round.
         let n_windows = n.div_ceil(l) + 1;
-        let jobs_n = if ctx.is_parallel() && n > pdm_pram::par_threshold() {
+        let jobs_n = if ctx.is_parallel() && n > pdm_pram::MIN_CHUNK {
             ctx.exec.threads().clamp(1, n_windows)
         } else {
             1

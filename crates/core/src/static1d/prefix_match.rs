@@ -26,7 +26,7 @@
 //! ## The sentinel fast path
 //!
 //! The paper names text blocks the dictionary never saw with "special
-//! symbols" — realized historically by a text-local [`Overlay`]-style table
+//! symbols" — realized historically by a text-local overlay table
 //! allocating fresh names ≥ [`pdm_naming::TEXT_NAME_BASE`] per novel block.
 //! But every consumer of those names — the next ascent level's pair lookup,
 //! the descent's extension lookup — probes a *dictionary* table, which only
@@ -315,13 +315,13 @@ pub fn match_text_into<T: MatchTables>(
 /// sequential (BENCH_text.json's par-width-2 static1d regression). A
 /// chunk-grained split pays one dispatch for the whole call instead.
 fn chunk_grain<T: MatchTables>(ctx: &Ctx, tables: &T, n: usize) -> Option<usize> {
-    if !ctx.is_parallel() || n <= pdm_pram::par_threshold() {
+    if !ctx.is_parallel() || n <= pdm_pram::MIN_CHUNK {
         return None;
     }
     let overlap = tables.chunk_overlap()?;
     // A chunk must dwarf both its overlap (redundant boundary work) and
     // the dispatch threshold for the split to pay.
-    let min_chunk = (4 * overlap).max(pdm_pram::par_threshold()).max(1);
+    let min_chunk = (4 * overlap).max(pdm_pram::MIN_CHUNK);
     let k = ctx.exec.threads().min(n / min_chunk);
     (k >= 2).then_some(k)
 }

@@ -19,6 +19,7 @@
 
 use crate::dict::{validate_dictionary, BuildError, Sym};
 use crate::static1d::namemap::{pack2, AtomicNameMap, NameMap};
+use pdm_naming::prefix::fold_step;
 use pdm_naming::{FrozenNameTable, NamePool, NameTable, IDENTITY};
 use pdm_pram::{ceil_log2, Ctx};
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -150,15 +151,13 @@ impl StaticTables {
             }
         });
         let (sym, pair) = ctx.cost.phase("dict/freeze-read-path", move || {
-            (
-                FrozenNameTable::from_entries(&sym.entries()),
-                freeze_all(pair),
-            )
+            (sym.freeze(), freeze_all(pair))
         });
 
         // 2. Prefix names in popcount-grouped rounds (Fact 2 schedule):
-        //    pref(ℓ) depends on pref(ℓ − 2^z), which has one fewer set bit,
-        //    so all lengths with equal popcount resolve in one round.
+        //    pref(ℓ) depends on pref(hi) of `fold_step(ℓ)`, which has one
+        //    fewer set bit, so all lengths with equal popcount resolve in
+        //    one round.
         let fold = NameTable::with_capacity(total, pool.clone());
         let prefs: Vec<Vec<u32>> = ctx.cost.phase("dict/prefix-naming", || {
             let cells: Vec<Vec<AtomicU32>> = patterns
@@ -176,12 +175,8 @@ impl StaticTables {
                 ctx.for_each(g.len(), |gi| {
                     let (p, l) = g[gi];
                     let (p, l) = (p as usize, l as usize);
-                    // Same formula as pdm_naming::prefix::combine_one: the
-                    // fold shape must be identical everywhere.
-                    let low = l & l.wrapping_neg();
-                    let k = low.trailing_zeros() as usize;
-                    let hi = l - low;
-                    let block = blocks[k][p][hi / low];
+                    let (k, hi) = fold_step(l);
+                    let block = blocks[k][p][hi >> k];
                     let v = if hi == 0 {
                         block
                     } else {
@@ -420,6 +415,36 @@ mod tests {
                     .map(crate::static1d::namemap::unpack2);
                 assert_eq!(v1, v2, "pattern {p} prefix len {l}");
             }
+        }
+    }
+
+    #[test]
+    fn frozen_tables_are_sized_by_their_entries() {
+        // A 4-letter dictionary has at most 16 distinct level-1 blocks,
+        // however many aligned blocks its patterns hold; the frozen copy
+        // must not inherit the build table's per-block provisioning.
+        let mut x = 7u64;
+        let pats: Vec<Vec<u32>> = (0..2000)
+            .map(|i| {
+                (0..8 + i % 17)
+                    .map(|_| {
+                        x = x
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        u32::from(b"acgt"[(x >> 62) as usize])
+                    })
+                    .collect()
+            })
+            .collect();
+        let m = crate::static1d::StaticMatcher::build(&Ctx::seq(), &pats).unwrap();
+        let read = &m.tables().read;
+        assert!(read.pair[0].len() <= 16);
+        let frozen = std::iter::once(&read.sym)
+            .chain(&read.pair)
+            .chain(&read.ext);
+        for (i, t) in frozen.enumerate() {
+            let want = (4 * t.len().max(1)).next_power_of_two();
+            assert_eq!(t.raw().slots_len(), want, "table {i}: {} entries", t.len());
         }
     }
 

@@ -258,43 +258,6 @@ impl FrozenNameTable {
     }
 }
 
-/// Read-through pair of tables for text processing: dictionary layer first,
-/// then a text-local layer that allocates from the text pool.
-///
-/// Guarantees: keys already named by the dictionary resolve to dictionary
-/// names; keys the dictionary never saw resolve to consistent text-local
-/// names (`≥ TEXT_NAME_BASE`), so two equal text substrings still compare
-/// equal — required for the spawned text copies to match each other's
-/// structure — while never colliding with any dictionary name.
-#[derive(Debug)]
-pub struct Overlay<'a> {
-    dict: &'a NameTable,
-    local: NameTable,
-}
-
-impl<'a> Overlay<'a> {
-    pub fn new(dict: &'a NameTable, local_cap: usize, text_pool: Arc<NamePool>) -> Self {
-        Self {
-            dict,
-            local: NameTable::with_capacity(local_cap, text_pool),
-        }
-    }
-
-    /// Resolve `(a, b)`: dictionary name if known, else text-local name.
-    #[inline]
-    pub fn name(&self, a: u32, b: u32) -> u32 {
-        match self.dict.lookup(a, b) {
-            Some(n) => n,
-            None => self.local.name(a, b),
-        }
-    }
-
-    /// Entries allocated in the local layer (diagnostics/experiments).
-    pub fn local_len(&self) -> usize {
-        self.local.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,21 +307,6 @@ mod tests {
         assert_ne!(t.name_tuple(&[1, 3, 2]), triple);
         assert_eq!(t.lookup_tuple(&[1, 2, 3]), Some(triple));
         assert_eq!(t.lookup_tuple(&[9, 9, 9]), None);
-    }
-
-    #[test]
-    fn overlay_prefers_dictionary() {
-        let dpool = NamePool::dictionary();
-        let dict = NameTable::with_capacity(10, dpool);
-        let known = dict.name(1, 2);
-        let ov = Overlay::new(&dict, 10, NamePool::text_local());
-        assert_eq!(ov.name(1, 2), known);
-        let local = ov.name(5, 6);
-        assert!(NamePool::is_text_local(local));
-        assert_eq!(ov.name(5, 6), local);
-        assert_eq!(ov.local_len(), 1);
-        // The overlay never writes into the dictionary layer.
-        assert_eq!(dict.lookup(5, 6), None);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Dynamic namestamping variants (paper §6).
 //!
-//! * **Partly-dynamic namestamping** (§6.1.1): inserts only. Realized by
+//! * **Partly-dynamic namestamping** (§6.1): inserts only. Realized by
 //!   [`DynTable`] with reference counting ignored (counts still maintained —
-//!   they are free — but never decremented).
+//!   they are free — but never decremented). The tables grow amortized;
+//!   §6.1.1's worst-case (de-amortized) growth is not reproduced
+//!   (DESIGN.md §2).
 //! * **Dynamic stamp-counting** (§6.2.1): each element tracks how many live
 //!   tuples carry it; deleting a pattern decrements, and the entry (and its
 //!   name) disappears at zero. [`DynTable::release`].
@@ -12,8 +14,7 @@
 //!
 //! The paper notes stamp-counting is exactly as hard as integer sorting and
 //! implements lists over quadratic-space arrays; we substitute hash-backed
-//! storage with identical semantics (DESIGN.md §2). Batched insert/delete
-//! can route through `pdm_primitives::radix` if orders matter.
+//! storage with counted entries and identical semantics (DESIGN.md §2).
 
 use crate::arena::NamePool;
 use pdm_primitives::{FxHashMap, PairMap};
@@ -147,122 +148,6 @@ impl StampList {
     }
 }
 
-/// The §6.1.1 worst-case table-growth scheme, implemented faithfully.
-///
-/// The paper de-amortizes dictionary growth: when the current table (sized
-/// for `2M₀`) fills past half, a table of twice the size is procured and
-/// the old entries are *incrementally* copied — a constant number per
-/// subsequent insert — "being careful to read any relevant entries in the
-/// old table" during the migration. By the time another `M₀` entries have
-/// arrived, the copy has finished and the old table is discarded, so every
-/// individual insert is `O(1)` worst case (no rebuild spikes).
-///
-/// Our hash maps grow amortized anyway, so the matchers don't need this —
-/// but it is part of the paper's contribution, so it exists, is tested, and
-/// is benchmarked as a substrate on its own. `COPIES_PER_INSERT = 4`
-/// guarantees migration completes before the new table itself fills.
-/// Migration state: the drained table, its entry snapshot, and the copy
-/// cursor.
-type Migration = (PairMap, Vec<(u64, u32)>, usize);
-
-#[derive(Debug)]
-pub struct DeamortizedTable {
-    /// The table being filled.
-    new: PairMap,
-    /// The table being drained (None once migration finishes).
-    old: Option<Migration>,
-    /// Capacity threshold of `new` that triggers the next migration.
-    threshold: usize,
-    pool: Arc<NamePool>,
-}
-
-const COPIES_PER_INSERT: usize = 4;
-
-impl DeamortizedTable {
-    pub fn new(pool: Arc<NamePool>, initial_capacity: usize) -> Self {
-        DeamortizedTable {
-            new: PairMap::with_capacity(2 * initial_capacity.max(4)),
-            old: None,
-            threshold: initial_capacity.max(4),
-            pool,
-        }
-    }
-
-    /// Distinct keys currently reachable (both layers during migration;
-    /// keys already re-read into the new table are not double-counted).
-    pub fn len(&self) -> usize {
-        let dup = self.old.as_ref().map_or(0, |(_, pending, at)| {
-            pending[*at..]
-                .iter()
-                .filter(|(k, _)| {
-                    let (a, b) = pdm_primitives::table::unpack(*k);
-                    self.new.get(a, b).is_some()
-                })
-                .count()
-        });
-        let uncopied = self
-            .old
-            .as_ref()
-            .map_or(0, |(_, pending, at)| pending.len() - at);
-        self.new.len() + uncopied - dup
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether a migration is in flight (diagnostics).
-    pub fn migrating(&self) -> bool {
-        self.old.is_some()
-    }
-
-    /// Name of `(a, b)`, allocating if absent — `O(1)` worst case.
-    pub fn name(&mut self, a: u32, b: u32) -> u32 {
-        // Read through to the old table during migration.
-        let from_old = self.old.as_ref().and_then(|(t, _, _)| t.get(a, b));
-        let v = match from_old {
-            Some(v) => self.new.get_or_insert(a, b, || v),
-            None => {
-                let pool = &self.pool;
-                self.new.get_or_insert(a, b, || pool.fresh())
-            }
-        };
-        self.step_migration();
-        if self.new.len() >= self.threshold && self.old.is_none() {
-            // Procure the next table: snapshot current entries and start
-            // draining them incrementally.
-            let drained =
-                std::mem::replace(&mut self.new, PairMap::with_capacity(4 * self.threshold));
-            let pending: Vec<(u64, u32)> = drained.iter_entries().collect();
-            self.old = Some((drained, pending, 0));
-            self.threshold *= 2;
-        }
-        v
-    }
-
-    /// Lookup through both layers.
-    pub fn lookup(&self, a: u32, b: u32) -> Option<u32> {
-        self.new
-            .get(a, b)
-            .or_else(|| self.old.as_ref().and_then(|(t, _, _)| t.get(a, b)))
-    }
-
-    fn step_migration(&mut self) {
-        if let Some((_, pending, at)) = self.old.as_mut() {
-            for _ in 0..COPIES_PER_INSERT {
-                if *at >= pending.len() {
-                    self.old = None;
-                    return;
-                }
-                let (key, v) = pending[*at];
-                *at += 1;
-                let (a, b) = pdm_primitives::table::unpack(key);
-                self.new.get_or_insert(a, b, || v);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,50 +203,5 @@ mod tests {
         assert!(!s.remove(5, 5));
         assert_eq!(s.any(5), None);
         assert_eq!(s.all(5), &[] as &[u32]);
-    }
-
-    #[test]
-    fn deamortized_names_stay_consistent_across_migrations() {
-        let mut t = DeamortizedTable::new(NamePool::dictionary(), 4);
-        let mut names = std::collections::HashMap::new();
-        // Insert enough keys to force several migrations.
-        for i in 0..200u32 {
-            let n = t.name(i, i + 1);
-            names.insert(i, n);
-            // Re-query a few old keys mid-migration: names must be stable.
-            for j in (0..=i).step_by(7) {
-                assert_eq!(t.name(j, j + 1), names[&j], "key {j} after {i}");
-                assert_eq!(t.lookup(j, j + 1), Some(names[&j]));
-            }
-        }
-        assert_eq!(t.len(), 200);
-        assert_eq!(t.lookup(999, 0), None);
-    }
-
-    #[test]
-    fn deamortized_migration_completes() {
-        let mut t = DeamortizedTable::new(NamePool::dictionary(), 4);
-        for i in 0..8u32 {
-            t.name(i, 0);
-        }
-        assert!(t.migrating() || t.len() == 8);
-        // COPIES_PER_INSERT = 4 ≫ growth rate: a few more inserts finish it.
-        for i in 8..32u32 {
-            t.name(i, 0);
-        }
-        // Drive remaining copies with repeat queries of one key.
-        for _ in 0..32 {
-            t.name(0, 0);
-        }
-        assert_eq!(t.len(), 32);
-    }
-
-    #[test]
-    fn deamortized_distinct_keys_distinct_names() {
-        let mut t = DeamortizedTable::new(NamePool::dictionary(), 2);
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..100u32 {
-            assert!(seen.insert(t.name(i, i * 3)), "duplicate name at {i}");
-        }
     }
 }

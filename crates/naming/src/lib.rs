@@ -13,19 +13,16 @@
 //!
 //! This crate implements them:
 //!
-//! * [`arena`] — name pools (dictionary-side and text-local name spaces) and
+//! * [`arena`] — name pools (dictionary-side and text-local name spaces),
 //!   [`arena::NameTable`], the namestamping table (a thin policy layer over
-//!   `pdm_primitives::ConcPairTable`); [`arena::Overlay`] gives text
-//!   processing a read-through view of the dictionary tables with a local
-//!   layer for substrings the dictionary never saw (the paper's "special
-//!   symbols distinct from the set used to name the substrings in `V`");
-//! * [`kmr`] — names of power-of-two blocks, by doubling:
-//!   `name_k(i) = δ(name_{k−1}(i), name_{k−1}(i+2^{k−1}))`. Block-aligned
-//!   positions only for dictionary strings (that *is* the shrink of
-//!   shrink-and-spawn), every position for texts (that *is* the spawn);
-//! * [`prefix`] — prefix-naming with a **fixed dyadic left-fold shape** per
-//!   length, so equal prefixes of different patterns receive equal names
-//!   even though the naming operator is not associative;
+//!   `pdm_primitives::ConcPairTable`), and [`arena::FrozenNameTable`], its
+//!   read-only form the text side probes;
+//! * [`prefix`] — block names and prefix-naming with a **fixed dyadic
+//!   left-fold shape** per length ([`prefix::fold_step`]), so equal
+//!   prefixes of different patterns receive equal names even though the
+//!   naming operator is not associative. Aligned block names are the
+//!   shrink of shrink-and-spawn (`name_k(i) = δ(name_{k−1}(i),
+//!   name_{k−1}(i+2^{k−1}))` at block-aligned `i`);
 //! * [`dynamic`] — the §6 variants: partly-dynamic namestamping (insert
 //!   only), dynamic stamp-counting (reference counts) and dynamic
 //!   stamp-listing (per-stamp lists), driving insert/delete in the dynamic
@@ -38,9 +35,6 @@
 
 pub mod arena;
 pub mod dynamic;
-pub mod kmr;
 pub mod prefix;
 
-pub use arena::{
-    FrozenNameTable, NamePool, NameTable, Overlay, IDENTITY, TEXT_MISS, TEXT_NAME_BASE,
-};
+pub use arena::{FrozenNameTable, NamePool, NameTable, IDENTITY, TEXT_MISS, TEXT_NAME_BASE};

@@ -7,135 +7,71 @@
 //! must be a fixed function of `ℓ`. We use the dyadic left-fold:
 //!
 //! ```text
-//! pref(ℓ) = fold(pref(ℓ − 2^z), block_z(ℓ − 2^z))      z = trailing zeros of ℓ
-//! pref(2^k · odd-part-1-bits…) bottoms out at pref(2^k) = block name itself
+//! pref(ℓ) = fold(pref(ℓ − 2^k), block_k(ℓ − 2^k))      2^k = lowest set bit of ℓ
+//! pref(2^k) = block_k(0), the block name itself
 //! ```
 //!
 //! i.e. `pref(ℓ)` folds the dyadic decomposition of `[0, ℓ)` left to right.
-//! Each position costs one combine (`O(len)` work per string); dependencies
-//! run along decreasing popcount, giving `⌈log₂ m⌉` parallel rounds —
-//! exactly Fact 2's `O(log m)` time / `O(M)` work.
+//! [`fold_step`] decides that shape; every prefix namer in the workspace
+//! calls it. Each position costs one combine (`O(len)` work per string);
+//! `pref(ℓ − 2^k)` has one set bit fewer than `ℓ`, so grouping lengths by
+//! popcount gives `⌈log₂ m⌉` parallel rounds — exactly Fact 2's
+//! `O(log m)` time / `O(M)` work (the static build's schedule).
 
-use crate::arena::{NameTable, IDENTITY};
-use pdm_pram::Ctx;
-use std::sync::atomic::{AtomicU32, Ordering};
+use crate::arena::IDENTITY;
 
-/// Prefix names of one string, sequential (`O(len)` combines).
-///
-/// `blocks` are the aligned block names from
-/// [`crate::kmr::aligned_block_names`]; `blocks[k]` must cover at least
-/// `floor(len / 2^k)` entries. Returns `pref` with `pref[ℓ-1]` naming
-/// `s[0..ℓ]`, for `ℓ = 1..=len`.
-pub fn prefix_names(blocks: &[Vec<u32>], len: usize, fold: &NameTable) -> Vec<u32> {
-    let mut pref = vec![IDENTITY; len];
-    for l in 1..=len {
-        pref[l - 1] = combine_one(blocks, l, fold, |hi| pref[hi - 1]);
-    }
-    pref
-}
-
-/// Parallel prefix names: rounds ordered by popcount of `ℓ` (the dependency
-/// depth), `⌈log₂ len⌉ + 1` rounds, `O(len)` work. Same output as
-/// [`prefix_names`].
-pub fn prefix_names_par(ctx: &Ctx, blocks: &[Vec<u32>], len: usize, fold: &NameTable) -> Vec<u32> {
-    let pref: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(IDENTITY)).collect();
-    // Group lengths by popcount; round r resolves all ℓ with popcount r+1.
-    let mut by_pop: Vec<Vec<u32>> = vec![Vec::new(); (usize::BITS - len.leading_zeros()) as usize];
-    for l in 1..=len {
-        by_pop[l.count_ones() as usize - 1].push(l as u32);
-    }
-    for group in by_pop.iter().filter(|g| !g.is_empty()) {
-        ctx.for_each(group.len(), |gi| {
-            let l = group[gi] as usize;
-            let v = combine_one(blocks, l, fold, |hi| pref[hi - 1].load(Ordering::Relaxed));
-            pref[l - 1].store(v, Ordering::Relaxed);
-        });
-    }
-    pref.into_iter().map(|a| a.into_inner()).collect()
-}
-
-/// One step of the dyadic left-fold: the name of `s[0..l]` from the name of
-/// `s[0..l − 2^z]` (via `get_pref`, `z` = trailing zeros of `l`) and the
-/// aligned block covering the gap. Exposed so callers that orchestrate their
-/// own round structure (e.g. the global popcount-grouped rounds of the
-/// static matcher build) produce names identical to [`prefix_names`].
+/// One step of the dyadic left-fold: `(k, hi)` such that `pref(l)` folds
+/// `pref(hi)` with the aligned level-`k` block `[hi, l)`, block number
+/// `hi >> k`. `2^k` is the lowest set bit of `l` and `hi = l − 2^k`; when
+/// `hi = 0`, `pref(l)` is that block's name itself. `l` must be positive.
 #[inline]
-pub fn combine_one(
-    blocks: &[Vec<u32>],
-    l: usize,
-    fold: &NameTable,
-    get_pref: impl Fn(usize) -> u32,
-) -> u32 {
+pub fn fold_step(l: usize) -> (usize, usize) {
     let low = l & l.wrapping_neg();
-    let k = low.trailing_zeros() as usize;
-    let hi = l - low;
-    let block = blocks[k][hi / low];
-    if hi == 0 {
-        block
-    } else {
-        fold.name(get_pref(hi), block)
-    }
+    (low.trailing_zeros() as usize, l - low)
 }
 
-/// Incremental prefix-namer for the dynamic path (§6): consumes one symbol's
-/// level-0 name at a time, maintaining the binary-counter stack of dyadic
-/// block names, `O(1)` amortized combines per symbol. Produces the *same*
-/// names as [`prefix_names`] when backed by the same tables.
-pub struct IncrementalPrefixNamer<'a> {
-    pair: &'a [NameTable],
-    fold: &'a NameTable,
-    /// `stack[k]` = name of the pending aligned block of size `2^k`, if any.
-    stack: Vec<Option<u32>>,
-    len: usize,
-}
-
-impl<'a> IncrementalPrefixNamer<'a> {
-    pub fn new(pair: &'a [NameTable], fold: &'a NameTable) -> Self {
-        Self {
-            pair,
-            fold,
-            stack: vec![None; pair.len() + 1],
-            len: 0,
-        }
+/// Aligned block names and prefix names of one string, sequentially.
+///
+/// `blocks[k][b]` names `s[b·2^k .. (b+1)·2^k]` for `k ≤ ⌊log₂ len⌋`
+/// (level 0 names every symbol); `prefs[ℓ-1]` names `s[0..ℓ]`. Symbols,
+/// block pairs at level `k` and fold steps are named through `sym`,
+/// `pair(k, ..)` and `fold` — allocating callers insert, read-only callers
+/// look up — so equal strings get equal names through any tables that
+/// agree. `s` must be non-empty.
+pub fn dyadic_names(
+    s: &[u32],
+    mut sym: impl FnMut(u32) -> u32,
+    mut pair: impl FnMut(usize, u32, u32) -> u32,
+    mut fold: impl FnMut(u32, u32) -> u32,
+) -> (Vec<Vec<u32>>, Vec<u32>) {
+    let len = s.len();
+    let k_max = pdm_pram::floor_log2(len) as usize;
+    let mut blocks: Vec<Vec<u32>> = Vec::with_capacity(k_max + 1);
+    blocks.push(s.iter().map(|&c| sym(c)).collect());
+    for k in 1..=k_max {
+        let prev = &blocks[k - 1];
+        let lvl = (0..prev.len() / 2)
+            .map(|b| pair(k, prev[2 * b], prev[2 * b + 1]))
+            .collect();
+        blocks.push(lvl);
     }
-
-    /// Push the level-0 name of the next symbol; returns `pref(len+1)`.
-    pub fn push(&mut self, name0: u32) -> u32 {
-        // Merge like a binary counter: two full 2^k blocks form one 2^(k+1).
-        let mut carry = name0;
-        let mut k = 0usize;
-        while let Some(left) = self.stack[k].take() {
-            carry = self.pair[k].name(left, carry);
-            k += 1;
-        }
-        self.stack[k] = Some(carry);
-        self.len += 1;
-        // pref = left-fold of the stack top-down (largest block first).
-        let mut acc = IDENTITY;
-        for b in self.stack.iter().rev().flatten() {
-            acc = if acc == IDENTITY {
-                *b
-            } else {
-                self.fold.name(acc, *b)
-            };
-        }
-        acc
+    let mut prefs = vec![IDENTITY; len];
+    for l in 1..=len {
+        let (k, hi) = fold_step(l);
+        let block = blocks[k][hi >> k];
+        prefs[l - 1] = if hi == 0 {
+            block
+        } else {
+            fold(prefs[hi - 1], block)
+        };
     }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
+    (blocks, prefs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arena::NamePool;
-    use crate::kmr::aligned_block_names;
+    use crate::arena::{NamePool, NameTable};
 
     fn setup(levels: usize) -> (NameTable, Vec<NameTable>, NameTable) {
         let pool = NamePool::dictionary();
@@ -147,24 +83,62 @@ mod tests {
         (sym, pair, fold)
     }
 
-    fn prefs_of(
+    fn names_of(
         s: &[u32],
-        levels: usize,
         sym: &NameTable,
         pair: &[NameTable],
         fold: &NameTable,
-    ) -> Vec<u32> {
-        let blocks = aligned_block_names(s, levels, sym, pair);
-        prefix_names(&blocks, s.len(), fold)
+    ) -> (Vec<Vec<u32>>, Vec<u32>) {
+        dyadic_names(
+            s,
+            |c| sym.name(c, 0),
+            |k, a, b| pair[k - 1].name(a, b),
+            |a, b| fold.name(a, b),
+        )
+    }
+
+    #[test]
+    fn fold_step_peels_the_lowest_block() {
+        assert_eq!(fold_step(1), (0, 0));
+        assert_eq!(fold_step(8), (3, 0));
+        assert_eq!(fold_step(12), (2, 8));
+        assert_eq!(fold_step(13), (0, 12));
+        for l in 1..=1024usize {
+            let (k, hi) = fold_step(l);
+            assert_eq!(hi + (1 << k), l);
+            assert_eq!(hi % (1 << (k + 1)), 0, "block [hi, l) is aligned");
+            assert_eq!(hi.count_ones() + 1, l.count_ones());
+        }
+    }
+
+    #[test]
+    fn aligned_names_identify_equal_blocks() {
+        let (sym, pair, fold) = setup(3);
+        let (b1, _) = names_of(&[1, 2, 3, 4, 1, 2, 3, 4], &sym, &pair, &fold);
+        let (b2, _) = names_of(&[1, 2, 3, 4, 9, 9, 9, 9], &sym, &pair, &fold);
+        // Level 2 blocks: s1 = [1234][1234], s2 = [1234][9999].
+        assert_eq!(b1[2][0], b1[2][1]);
+        assert_eq!(b1[2][0], b2[2][0]);
+        assert_ne!(b2[2][0], b2[2][1]);
+        // Level 3 (whole string) differs.
+        assert_ne!(b1[3][0], b2[3][0]);
+        // Counts: floor(len / 2^k).
+        assert_eq!(b1.iter().map(Vec::len).collect::<Vec<_>>(), [8, 4, 2, 1]);
+    }
+
+    #[test]
+    fn aligned_names_with_residue_lengths() {
+        let (sym, pair, fold) = setup(2);
+        // len 5: residues ignored per §3.1.
+        let (b, _) = names_of(&[5, 6, 7, 8, 9], &sym, &pair, &fold);
+        assert_eq!(b.iter().map(Vec::len).collect::<Vec<_>>(), [5, 2, 1]);
     }
 
     #[test]
     fn equal_prefixes_equal_names_across_strings() {
         let (sym, pair, fold) = setup(4);
-        let a: Vec<u32> = vec![1, 2, 3, 4, 5, 6, 7];
-        let b: Vec<u32> = vec![1, 2, 3, 4, 9, 9];
-        let pa = prefs_of(&a, 4, &sym, &pair, &fold);
-        let pb = prefs_of(&b, 4, &sym, &pair, &fold);
+        let (_, pa) = names_of(&[1, 2, 3, 4, 5, 6, 7], &sym, &pair, &fold);
+        let (_, pb) = names_of(&[1, 2, 3, 4, 9, 9], &sym, &pair, &fold);
         for l in 1..=4 {
             assert_eq!(pa[l - 1], pb[l - 1], "shared prefix of length {l}");
         }
@@ -183,7 +157,7 @@ mod tests {
         ];
         let mut seen: std::collections::HashMap<u32, Vec<u32>> = Default::default();
         for s in &strings {
-            let p = prefs_of(s, 4, &sym, &pair, &fold);
+            let (_, p) = names_of(s, &sym, &pair, &fold);
             for l in 1..=s.len() {
                 let e = seen.entry(p[l - 1]).or_insert_with(|| s[..l].to_vec());
                 assert_eq!(*e, &s[..l], "name collision for different content");
@@ -192,50 +166,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let (sym, pair, fold) = setup(6);
-        let s: Vec<u32> = (0..57).map(|i| (i * 7) % 5).collect();
-        let blocks = aligned_block_names(&s, 6, &sym, &pair);
-        let seq = prefix_names(&blocks, s.len(), &fold);
-        for ctx in [Ctx::seq(), Ctx::par()] {
-            let par = prefix_names_par(&ctx, &blocks, s.len(), &fold);
-            assert_eq!(par, seq);
-        }
-    }
-
-    #[test]
-    fn parallel_round_count_is_logarithmic() {
-        let (sym, pair, fold) = setup(10);
-        let s: Vec<u32> = (0..1000).map(|i| i % 3).collect();
-        let blocks = aligned_block_names(&s, 10, &sym, &pair);
-        let ctx = Ctx::seq();
-        let before = ctx.cost.snapshot();
-        let _ = prefix_names_par(&ctx, &blocks, s.len(), &fold);
-        let d = ctx.cost.snapshot().since(before);
-        // popcount classes present in 1..=1000: at most 10 (Fact 2: O(log m)).
-        assert!(d.rounds <= 10, "rounds = {}", d.rounds);
-        assert!(d.work <= 1001, "work = {}", d.work);
-    }
-
-    #[test]
-    fn incremental_matches_batch() {
-        let (sym, pair, fold) = setup(5);
-        let s: Vec<u32> = (0..23).map(|i| (i * 13) % 4).collect();
-        let batch = prefs_of(&s, 5, &sym, &pair, &fold);
-        let mut inc = IncrementalPrefixNamer::new(&pair, &fold);
-        let mut got = Vec::new();
-        for &c in &s {
-            let n0 = sym.name(c, 0);
-            got.push(inc.push(n0));
-        }
-        assert_eq!(got, batch);
-        assert_eq!(inc.len(), s.len());
-    }
-
-    #[test]
     fn single_symbol_prefix() {
         let (sym, pair, fold) = setup(2);
-        let p = prefs_of(&[42], 2, &sym, &pair, &fold);
+        let (_, p) = names_of(&[42], &sym, &pair, &fold);
         assert_eq!(p.len(), 1);
         assert_eq!(p[0], sym.name(42, 0));
     }

@@ -80,27 +80,14 @@ impl Default for Ctx {
     }
 }
 
-/// Minimum items per pool chunk; rounds at or below this run inline on the
-/// caller (the pool's adaptive sequential cutoff), and larger rounds are
-/// dealt in chunks of at least this many items.
-const MIN_CHUNK: usize = 1024;
-
-/// Per-round item-count threshold at or below which parallel policies run
-/// the round inline on the caller instead of dispatching to the pool.
+/// Minimum items per pool chunk. Rounds of at most this many items run
+/// inline on the caller instead of dispatching to the pool, and larger
+/// rounds are dealt in chunks of at least this many items.
 ///
 /// Even a parked persistent pool costs a wake/park handshake per round;
 /// for small rounds that overhead exceeds the loop body (BENCH_pool.json:
 /// equal_len at width 1 ran *slower* through the pool than sequentially).
-/// Overridable with `PDM_PAR_THRESHOLD` (0 disables the fallback).
-pub fn par_threshold() -> usize {
-    static T: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *T.get_or_init(|| {
-        std::env::var("PDM_PAR_THRESHOLD")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(MIN_CHUNK)
-    })
-}
+pub const MIN_CHUNK: usize = 1024;
 
 impl Ctx {
     /// Sequential context with a fresh cost model.
@@ -272,11 +259,11 @@ impl Ctx {
     }
 
     /// Whether a round of `n` items should be handed to the pool at all:
-    /// false for sequential policies and for rounds at or below
-    /// [`par_threshold`] (the small-round inline fallback).
+    /// false for sequential policies and for rounds of at most
+    /// [`MIN_CHUNK`] items (the small-round inline fallback).
     #[inline]
     fn dispatch(&self, n: usize) -> bool {
-        self.is_parallel() && n > par_threshold()
+        self.is_parallel() && n > MIN_CHUNK
     }
 }
 
@@ -390,9 +377,6 @@ mod tests {
 
     #[test]
     fn small_rounds_run_inline_on_caller() {
-        if par_threshold() < 8 {
-            return; // PDM_PAR_THRESHOLD override disabled the fallback
-        }
         let ctx = Ctx::with_threads(2);
         let caller = std::thread::current().id();
         let mut tids = vec![None; 8];

@@ -12,22 +12,22 @@
 //!    selected by [`exec::ExecPolicy`]. Every parallel construct in the
 //!    workspace goes through these helpers so experiments can sweep thread
 //!    counts and compare against a sequential run of the *same* code.
+//!    Rounds of at most [`MIN_CHUNK`] items run inline on the caller.
 //! 2. **Cost accounting** ([`cost`]): an explicit model that charges
 //!    `time += 1` per round and `work += #operations`, independent of wall
 //!    clock. The paper's claims (`O(log m)` time, `O(M + n log m)` work, …)
 //!    are validated against these counters, while wall-clock speedups are
 //!    reported separately by the benchmark harness.
 //!
-//! [`crcw`] adds the concurrent-write combinators the model permits
-//! (arbitrary winner, priority/min-max winner, common-value claim) on top of
-//! atomics, mirroring how the paper resolves concurrent writes.
+//! The model's concurrent writes live where they are used: the name
+//! tables claim slots by compare-and-swap (`pdm_primitives::ConcPairTable`)
+//! and priority writes are `fetch_min` on the attribution maps.
 
 pub mod cost;
-pub mod crcw;
 pub mod exec;
 
 pub use cost::{CostModel, CostSnapshot, PhaseStats};
-pub use exec::{par_threshold, Ctx, ExecPolicy};
+pub use exec::{Ctx, ExecPolicy, MIN_CHUNK};
 
 /// `⌈log₂ x⌉` for `x ≥ 1`; `0` for `x ≤ 1`.
 ///

@@ -5,8 +5,8 @@
 //! writer wins, and readers pick up the winner's stamp. We realize it as a
 //! fixed-capacity open-addressing table with CAS claims:
 //!
-//! * a slot's key word is claimed by exactly one winner
-//!   ([`pdm_pram::crcw::claim_u64`]);
+//! * a slot's key word is claimed by exactly one winner (a
+//!   compare-and-swap from the empty key);
 //! * the winner runs the (caller-supplied) name allocator and publishes the
 //!   value; losers spin briefly on the pending value — the paper's "one of
 //!   the tuples provides the stamp";
@@ -78,12 +78,6 @@ impl ConcPairTable {
     /// Declared capacity (entries, not slots).
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Physical slot count (a power of two; 2 × declared capacity rounded
-    /// up). Freezing reuses it so probe distances survive the snapshot.
-    pub fn slots_len(&self) -> usize {
-        self.mask + 1
     }
 
     /// Name of `(a, b)`, allocating via `alloc` if this is the first claim.

@@ -77,16 +77,7 @@ impl FrozenPairTable {
     /// linear-probe searches are the ones that degrade with load, so the
     /// frozen table trades 12 bytes/slot for short miss chains.
     pub fn from_entries(entries: &[(u32, u32, u32)]) -> Self {
-        Self::with_slots(entries, (entries.len().max(1) * 4).next_power_of_two())
-    }
-
-    /// Freeze `entries` into exactly `slots_len` slots (a power of two,
-    /// ≥ 2 × entries). Used by [`Self::freeze`] to reproduce the source
-    /// table's slot count, so frozen miss chains are never longer than the
-    /// live ones they replace.
-    pub fn with_slots(entries: &[(u32, u32, u32)], slots_len: usize) -> Self {
-        debug_assert!(slots_len.is_power_of_two());
-        debug_assert!(slots_len >= (entries.len() * 2).max(1));
+        let slots_len = (entries.len().max(1) * 4).next_power_of_two();
         let mask = slots_len - 1;
         let mut keys = vec![EMPTY_KEY; slots_len].into_boxed_slice();
         let mut vals = vec![0u32; slots_len].into_boxed_slice();
@@ -113,14 +104,11 @@ impl FrozenPairTable {
     }
 
     /// Freeze a live concurrent table. The table must be quiescent (no
-    /// concurrent inserts) — which is exactly the post-build state. The
-    /// snapshot keeps at least the source's slot count (conc tables are
-    /// provisioned well below their own load ceiling), so a frozen probe
-    /// never walks a longer miss chain than the live probe it replaces.
+    /// concurrent inserts) — which is exactly the post-build state. Slots
+    /// are sized from the entry count, as in [`Self::from_entries`], not
+    /// from the live table's provisioned capacity.
     pub fn freeze(table: &ConcPairTable) -> Self {
-        let entries = table.entries();
-        let min = (entries.len().max(1) * 4).next_power_of_two();
-        Self::with_slots(&entries, min.max(table.slots_len()))
+        Self::from_entries(&table.entries())
     }
 
     /// Number of entries.
@@ -236,12 +224,6 @@ impl FrozenPairTable {
             }
             idx = (idx + 1) & self.mask;
         }
-    }
-}
-
-impl From<&ConcPairTable> for FrozenPairTable {
-    fn from(t: &ConcPairTable) -> Self {
-        Self::freeze(t)
     }
 }
 

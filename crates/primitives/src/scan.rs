@@ -1,9 +1,7 @@
 //! Prefix scans (parallel prefix computation).
 //!
-//! The paper's Fact 2 computes prefix-naming "by executing a standard
-//! prefix-sum computation using the namestamping operation in place of
-//! arithmetic addition". These scans are written over a generic combine
-//! operation so `pdm-naming` can plug namestamping in directly.
+//! Written over a generic combine operation; the workhorse is
+//! [`prefix_sums`], the output placement of all-matches enumeration.
 //!
 //! The parallel version is the standard two-pass blocked scan (per-block
 //! reduce, scan of block sums, per-block rescan): `O(n)` work and, charged to
@@ -13,9 +11,9 @@
 //! **Caveat for non-associative operators.** Namestamping's combine is only
 //! injective, not associative (`δ(δ(a,b),c) ≠ δ(a,δ(b,c))` as integers).
 //! Scans over such operators must use a *fixed* combine shape per output
-//! index so equal inputs give equal outputs; use [`scan_inclusive_seq`]
-//! (left-fold shape) or the dedicated dyadic machinery in
-//! `pdm-naming::prefix`, not the blocked parallel scan.
+//! index so equal inputs give equal outputs; that is why prefix-naming
+//! (paper Fact 2) uses the dyadic fold of `pdm-naming::prefix`, not the
+//! blocked parallel scan.
 
 use pdm_pram::{ceil_log2, Ctx};
 
@@ -99,21 +97,8 @@ where
     })
 }
 
-/// Parallel exclusive scan: `out[i] = fold of items[..i]`, `out[0] = identity`.
-pub fn scan_exclusive<T, F>(ctx: &Ctx, items: &[T], identity: T, f: F) -> Vec<T>
-where
-    T: Clone + Send + Sync,
-    F: Fn(&T, &T) -> T + Send + Sync,
-{
-    let inc = scan_inclusive(ctx, items, identity.clone(), f);
-    let mut out = Vec::with_capacity(items.len());
-    out.push(identity);
-    out.extend_from_slice(&inc[..items.len().saturating_sub(1)]);
-    out
-}
-
 /// Exclusive prefix sums of `u64` counts, returning `(offsets, total)`.
-/// The workhorse of output allocation (all-matches enumeration, compaction).
+/// The workhorse of output allocation (all-matches enumeration).
 pub fn prefix_sums(ctx: &Ctx, counts: &[u64]) -> (Vec<u64>, u64) {
     let inc = scan_inclusive(ctx, counts, 0u64, |a, b| a + b);
     let total = inc.last().copied().unwrap_or(0);
@@ -139,21 +124,6 @@ mod tests {
                 let got = scan_inclusive(&ctx, &v, 0, |a, b| a + b);
                 let want = scan_inclusive_seq(0, &v, |a, b| a + b);
                 assert_eq!(got, want, "n={n}");
-            }
-        }
-    }
-
-    #[test]
-    fn exclusive_matches_reference() {
-        for ctx in ctxs() {
-            let v: Vec<u64> = (0..30_000).map(|i| (i * 7) % 13).collect();
-            let got = scan_exclusive(&ctx, &v, 0, |a, b| a + b);
-            assert_eq!(got.len(), v.len());
-            assert_eq!(got[0], 0);
-            let mut acc = 0;
-            for i in 0..v.len() {
-                assert_eq!(got[i], acc);
-                acc += v[i];
             }
         }
     }

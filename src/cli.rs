@@ -1050,27 +1050,15 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
             let t0 = std::time::Instant::now();
             let hits = idx.query_batch(&ctx, &pats, &opts);
             let query_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let show_pat = |p: &[Sym]| -> String {
-                p.iter()
-                    .map(|&c| char::from(c as u8))
-                    .map(|c| {
-                        if c.is_ascii_graphic() || c == ' ' {
-                            c
-                        } else {
-                            '.'
-                        }
-                    })
-                    .collect()
-            };
             let mut total = 0usize;
             for (i, h) in hits.iter().enumerate() {
                 total += h.count;
                 if locate {
                     for &pos in &h.positions {
-                        writeln!(w, "{pos}\t{i}\t{}", show_pat(&pats[i]))?;
+                        writeln!(w, "{pos}\t{i}\t{}", printable(&pats[i]))?;
                     }
                 } else {
-                    writeln!(w, "{i}\t{}\t{}", h.count, show_pat(&pats[i]))?;
+                    writeln!(w, "{i}\t{}\t{}", h.count, printable(&pats[i]))?;
                 }
             }
             writeln!(
@@ -1101,7 +1089,7 @@ pub fn run(cmd: Command, w: &mut impl Write) -> std::io::Result<i32> {
                         writeln!(
                             w,
                             "verify MISMATCH pattern {i} ({}): index {} vs AC {}",
-                            show_pat(p),
+                            printable(p),
                             hits[i].count,
                             ac_counts[u]
                         )?;
@@ -1504,37 +1492,44 @@ fn open_seeded_store(
     Ok(Ok(store))
 }
 
+/// One admin exchange with a running `pdm serve`: connect, send one
+/// `tag` frame, and return the first reply whose tag is in `replies`,
+/// skipping the session frames (hello-ack, acks) the server interleaves.
+fn admin_round_trip(
+    addr: &str,
+    tag: u8,
+    payload: &[u8],
+    replies: &[u8],
+) -> std::io::Result<(u8, Vec<u8>)> {
+    use pdm_stream::proto::{read_frame, write_frame};
+    let mut sock = std::net::TcpStream::connect(addr)?;
+    sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
+    write_frame(&mut sock, tag, payload)?;
+    loop {
+        match read_frame(&mut sock)? {
+            Some((t, p)) if replies.contains(&t) => return Ok((t, p)),
+            Some(_) => continue,
+            None => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed before replying",
+                ))
+            }
+        }
+    }
+}
+
 /// `pdm stats --addr`: fetch a running server's global counters over a
 /// `TAG_STATS` frame and print them, one per line, with the reactor-tier
 /// efficiency ratio (ready events per `epoll_wait` wakeup) derived.
 fn run_stats_addr(addr: &str, w: &mut impl Write) -> std::io::Result<i32> {
-    use pdm_stream::proto::{decode_stats, read_frame, write_frame, TAG_STATS, TAG_STATS_RESP};
-    let attempt = || -> std::io::Result<pdm_stream::GlobalSnapshot> {
-        let mut sock = std::net::TcpStream::connect(addr)?;
-        sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
-        write_frame(&mut sock, TAG_STATS, &[])?;
-        loop {
-            match read_frame(&mut sock)? {
-                Some((TAG_STATS_RESP, p)) => {
-                    return decode_stats(&p).ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            "malformed stats reply",
-                        )
-                    })
-                }
-                // Session frames (hello-ack, acks) may interleave.
-                Some(_) => continue,
-                None => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "server closed before replying",
-                    ))
-                }
-            }
-        }
-    };
-    match attempt() {
+    use pdm_stream::proto::{decode_stats, TAG_STATS, TAG_STATS_RESP};
+    let reply = admin_round_trip(addr, TAG_STATS, &[], &[TAG_STATS_RESP]).and_then(|(_, p)| {
+        decode_stats(&p).ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed stats reply")
+        })
+    });
+    match reply {
         Ok(snap) => {
             for (name, value) in snap.named_fields() {
                 writeln!(w, "{name:<24} {value}")?;
@@ -1560,8 +1555,8 @@ fn run_stats_addr(addr: &str, w: &mut impl Write) -> std::io::Result<i32> {
 fn run_dict(op: DictOp, target: DictTarget, w: &mut impl Write) -> std::io::Result<i32> {
     use pdm_dict::{DictStore, SnapshotPath};
     use pdm_stream::proto::{
-        decode_dict_info, read_frame, write_frame, TAG_DICT_ADD, TAG_DICT_COMMIT, TAG_DICT_ERR,
-        TAG_DICT_INFO, TAG_DICT_INFO_RESP, TAG_DICT_OK, TAG_DICT_REMOVE,
+        decode_dict_info, TAG_DICT_ADD, TAG_DICT_COMMIT, TAG_DICT_ERR, TAG_DICT_INFO,
+        TAG_DICT_INFO_RESP, TAG_DICT_OK, TAG_DICT_REMOVE,
     };
     match target {
         DictTarget::Log(path) => {
@@ -1628,28 +1623,8 @@ fn run_dict(op: DictOp, target: DictTarget, w: &mut impl Write) -> std::io::Resu
                 DictOp::Info => (TAG_DICT_INFO, Vec::new()),
                 DictOp::Compact => unreachable!("parse rejects compact --addr"),
             };
-            let attempt = || -> std::io::Result<(u8, Vec<u8>)> {
-                let mut sock = std::net::TcpStream::connect(&addr)?;
-                sock.set_read_timeout(Some(std::time::Duration::from_secs(10)))?;
-                write_frame(&mut sock, tag, &payload)?;
-                // The server interleaves session frames (hello-ack, acks)
-                // with admin replies; skip to the reply.
-                loop {
-                    match read_frame(&mut sock)? {
-                        Some((t @ (TAG_DICT_OK | TAG_DICT_ERR | TAG_DICT_INFO_RESP), p)) => {
-                            return Ok((t, p))
-                        }
-                        Some(_) => continue,
-                        None => {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::UnexpectedEof,
-                                "server closed before replying",
-                            ))
-                        }
-                    }
-                }
-            };
-            match attempt() {
+            let replies = [TAG_DICT_OK, TAG_DICT_ERR, TAG_DICT_INFO_RESP];
+            match admin_round_trip(&addr, tag, &payload, &replies) {
                 Ok((TAG_DICT_OK, p)) => {
                     let epoch = u64::from_le_bytes(p.try_into().unwrap_or_default());
                     writeln!(w, "ok (epoch {epoch})")?;

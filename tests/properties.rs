@@ -4,8 +4,7 @@
 //! equivalence on arbitrary inputs.
 
 use pdm::baselines::naive;
-use pdm::naming::kmr::aligned_block_names;
-use pdm::naming::prefix::prefix_names;
+use pdm::naming::prefix::dyadic_names;
 use pdm::naming::{NamePool, NameTable};
 use pdm::prelude::*;
 use proptest::collection::vec;
@@ -32,8 +31,12 @@ proptest! {
     ) {
         let (sym, pair, fold) = tables(6);
         let prefs: Vec<Vec<u32>> = strs.iter().map(|s| {
-            let b = aligned_block_names(s, 6, &sym, &pair);
-            prefix_names(&b, s.len(), &fold)
+            dyadic_names(
+                s,
+                |c| sym.name(c, 0),
+                |k, a, b| pair[k - 1].name(a, b),
+                |a, b| fold.name(a, b),
+            ).1
         }).collect();
         for (i, a) in strs.iter().enumerate() {
             for (j, b) in strs.iter().enumerate() {
