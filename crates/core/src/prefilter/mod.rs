@@ -9,13 +9,13 @@
 //!
 //! Two scan engines, chosen at build time by a density estimator:
 //!
-//! * **Rare-byte** ([`Engine::Rare`]): every pattern nominates the
+//! * **Rare-byte** (`Engine::Rare`): every pattern nominates the
 //!   (background-frequency) rarest byte it contains, at a recorded offset.
 //!   If the nominations collapse onto ≤ 3 distinct bytes with a small
 //!   offset set, the scan is up to 3 memchr-style SWAR passes
 //!   (broadcast / XOR / zero-lane detection over `u64` gulps); each hit
 //!   `i` proposes candidate starts `i − off`.
-//! * **Pair-mask** ([`Engine::Pair`]): two 256-bit classes over the
+//! * **Pair-mask** (`Engine::Pair`): two 256-bit classes over the
 //!   first and second pattern bytes; position `i` is a candidate iff
 //!   `text[i]` is a first-byte and `text[i+1]` a second-byte.
 //!

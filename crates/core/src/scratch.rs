@@ -16,7 +16,6 @@
 //!   the hot loop).
 
 use crate::dict::PatId;
-use crate::static1d::MatchOutput;
 
 /// Grow-aware buffer reuse: clear + resize, counting a grow event when the
 /// existing capacity did not cover `n`.
@@ -44,8 +43,8 @@ pub struct TextScratch {
     pub(crate) state: Vec<(u32, u32)>,
     /// Longest-pattern lookup results before scatter.
     pub(crate) pats: Vec<(Option<PatId>, u32, Option<PatId>)>,
-    /// Full match output reused by `find_all_into`.
-    pub(crate) match_out: MatchOutput,
+    /// `find_all_into`'s longest pattern per position.
+    pub(crate) longest: Vec<Option<PatId>>,
     /// Per-position chain expansion buffer for `find_all_into`.
     pub(crate) pats_here: Vec<PatId>,
     /// Per-chunk child scratches for the chunk-grained parallel driver

@@ -20,7 +20,7 @@ pub mod tables;
 
 pub use prefix_match::{
     match_text, match_text_into, match_text_ref, prefix_match, prefix_match_into, prefix_match_ref,
-    MatchOutput, MatchTables, PrefixMatch,
+    MatchOutput, MatchTables, PrefixMatch, PREFETCH_DISTANCE,
 };
 pub use tables::StaticTables;
 
@@ -28,8 +28,9 @@ use crate::allmatches::PatternChains;
 use crate::dict::{BuildError, PatId, Sym};
 use crate::prefilter::{Prefilter, PrefilterCounters, PrefilterDecision, ScanVerdict};
 use crate::prefilter::{PREFILTER_MIN_TEXT, REASON_NO_PATTERNS};
-use crate::scratch::TextScratch;
+use crate::scratch::{ensure, TextScratch};
 use pdm_pram::Ctx;
+use prefix_match::descend_into;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -316,6 +317,9 @@ impl StaticMatcher {
     }
 
     /// The unfiltered all-matches expansion (also the per-window verifier).
+    /// It reads each position's `(blocks, prefix name)` straight from the
+    /// descent state and looks up only Theorem 2's longest pattern there;
+    /// the patterns matching at a position are that pattern's chain.
     fn find_all_core(
         &self,
         ctx: &Ctx,
@@ -324,13 +328,23 @@ impl StaticMatcher {
         out: &mut Vec<(usize, PatId)>,
     ) {
         out.clear();
-        let mut mo = std::mem::take(&mut scratch.match_out);
-        match_text_into(ctx, &self.tables, text, scratch, &mut mo);
+        if text.is_empty() {
+            return;
+        }
+        let mut longest = std::mem::take(&mut scratch.longest);
+        ensure(&mut longest, text.len(), &mut scratch.grows);
+        let tables = &self.tables;
+        descend_into(ctx, tables, text, scratch, &mut longest, |blocks, name| {
+            if blocks == 0 {
+                return None;
+            }
+            tables.longest_pattern(name).map(|(pid, _)| pid)
+        });
         let chains = self
             .chains
             .get_or_init(|| crate::allmatches::pattern_chains(self));
         let cap0 = out.capacity() + scratch.pats_here.capacity();
-        for (i, &longest) in mo.longest_pattern.iter().enumerate() {
+        for (i, &longest) in longest.iter().enumerate() {
             scratch.pats_here.clear();
             let mut cur = longest;
             while let Some(p) = cur {
@@ -342,9 +356,8 @@ impl StaticMatcher {
         }
         if out.capacity() + scratch.pats_here.capacity() != cap0 {
             scratch.grows += 1;
-            self.metrics.alloc_events.fetch_add(1, Ordering::Relaxed);
         }
-        scratch.match_out = mo;
+        scratch.longest = longest;
     }
 
     /// The prefilter attached to this matcher, if any.

@@ -42,7 +42,7 @@
 use crate::dict::{PatId, Sym};
 use crate::scratch::{ensure, TextScratch};
 use crate::static1d::namemap::unpack2;
-use pdm_naming::{NamePool, NameTable, IDENTITY, TEXT_MISS};
+use pdm_naming::{FrozenNameTable, NamePool, NameTable, IDENTITY, TEXT_MISS};
 use pdm_pram::{floor_log2, Ctx};
 
 /// Lookup interface shared by the static tables and the dynamic dictionary
@@ -56,6 +56,20 @@ pub trait MatchTables: Sync {
     fn pair_lookup(&self, k: usize, a: u32, b: u32) -> Option<u32>;
     /// Extension: prefix-name extended by one level-`k` block.
     fn ext_lookup(&self, k: usize, pref: u32, block: u32) -> Option<u32>;
+    /// The frozen table `pair_lookup(k, ..)` probes, when its probes are
+    /// worth prefetching [`PREFETCH_DISTANCE`] positions ahead
+    /// ([`FrozenPairTable::prefetch_pays`]). Tables small enough to stay in
+    /// cache, and the dynamic matcher's live tables (this `None` default),
+    /// run the level without look-ahead.
+    ///
+    /// [`FrozenPairTable::prefetch_pays`]: pdm_primitives::FrozenPairTable::prefetch_pays
+    fn pair_prefetch(&self, _k: usize) -> Option<&FrozenNameTable> {
+        None
+    }
+    /// The [`Self::ext_lookup`] counterpart of [`Self::pair_prefetch`].
+    fn ext_prefetch(&self, _k: usize) -> Option<&FrozenNameTable> {
+        None
+    }
     /// `(pattern, length)` of the longest pattern that is a prefix of the
     /// named prefix (Theorem 2's table).
     fn longest_pattern(&self, pref: u32) -> Option<(PatId, u32)>;
@@ -129,6 +143,41 @@ fn extend_counted<T>(dst: &mut Vec<T>, n: usize, it: impl Iterator<Item = T>, gr
     dst.extend(it);
 }
 
+/// How many positions ahead of its probe every ascent and descent level
+/// prefetches (DESIGN.md §11). Within a level the probes of different
+/// positions are independent, so this many table misses can be in flight
+/// at once; 16 measured fastest on the dense genome stream.
+pub const PREFETCH_DISTANCE: usize = 16;
+
+/// The loop body of every ascent and descent level, over one contiguous
+/// block of positions: position `j`'s table probe is `key(j, blk[j])`
+/// (`None` when it needs none). With a `prefetch` table, before probing
+/// position `j` the loop prefetches the probe of position
+/// `j + PREFETCH_DISTANCE`, if that position lies in the block.
+#[inline(always)]
+fn probe_ahead<S: Copy>(
+    blk: &mut [S],
+    key: impl Fn(usize, S) -> Option<(u32, u32)>,
+    prefetch: Option<&FrozenNameTable>,
+    probe: impl Fn(S, Option<(u32, u32)>) -> S,
+) {
+    let Some(table) = prefetch else {
+        for (j, s) in blk.iter_mut().enumerate() {
+            *s = probe(*s, key(j, *s));
+        }
+        return;
+    };
+    for j in 0..blk.len() {
+        if let Some(&ahead) = blk.get(j + PREFETCH_DISTANCE) {
+            if let Some((a, b)) = key(j + PREFETCH_DISTANCE, ahead) {
+                table.prefetch(a, b);
+            }
+        }
+        let s = blk[j];
+        blk[j] = probe(s, key(j, s));
+    }
+}
+
 /// Sentinel-named ascent + descent: leaves `(blocks, prefix-name)` per
 /// position in `scratch.state`. Shared by the prefix-only and full paths.
 fn ascend_descend<T: MatchTables>(ctx: &Ctx, tables: &T, text: &[Sym], scratch: &mut TextScratch) {
@@ -157,13 +206,19 @@ fn ascend_descend<T: MatchTables>(ctx: &Ctx, tables: &T, text: &[Sym], scratch: 
             let prev = &lower[k - 1];
             let cur = &mut upper[0];
             ensure(cur, cnt, &mut grows);
-            ctx.for_each_mut(cur, |i, v| {
-                let (a, b) = (prev[i], prev[i + half]);
-                *v = if a == TEXT_MISS || b == TEXT_MISS {
-                    TEXT_MISS
-                } else {
-                    tables.pair_lookup(k, a, b).unwrap_or(TEXT_MISS)
-                };
+            ctx.for_each_block_mut(cur, |base, blk| {
+                probe_ahead(
+                    blk,
+                    |j, _| {
+                        let (a, b) = (prev[base + j], prev[base + j + half]);
+                        (a != TEXT_MISS && b != TEXT_MISS).then_some((a, b))
+                    },
+                    tables.pair_prefetch(k),
+                    |_, key| {
+                        key.and_then(|(a, b)| tables.pair_lookup(k, a, b))
+                            .unwrap_or(TEXT_MISS)
+                    },
+                );
             });
             lookups += cnt as u64;
         }
@@ -175,20 +230,24 @@ fn ascend_descend<T: MatchTables>(ctx: &Ctx, tables: &T, text: &[Sym], scratch: 
         for k in (0..=kt).rev() {
             let lvl = &scratch.levels[k];
             let span = 1usize << k;
-            ctx.for_each_mut(&mut scratch.state, |i, st| {
-                let mut b = if k == kt { 0 } else { st.0 << 1 };
-                let mut pref = st.1;
-                let clen = (b as usize) << k;
-                if i + clen + span <= n {
-                    let block = lvl[i + clen];
-                    if block != TEXT_MISS {
-                        if let Some(np) = tables.ext_lookup(k, pref, block) {
-                            pref = np;
-                            b += 1;
+            let blocks = |st: (u32, u32)| if k == kt { 0 } else { st.0 << 1 };
+            ctx.for_each_block_mut(&mut scratch.state, |base, blk| {
+                probe_ahead(
+                    blk,
+                    |j, st| {
+                        let at = base + j + ((blocks(st) as usize) << k);
+                        let block = if at + span <= n { lvl[at] } else { TEXT_MISS };
+                        (block != TEXT_MISS).then_some((st.1, block))
+                    },
+                    tables.ext_prefetch(k),
+                    |st, key| {
+                        let b = blocks(st);
+                        match key.and_then(|(pref, block)| tables.ext_lookup(k, pref, block)) {
+                            Some(np) => (b + 1, np),
+                            None => (b, st.1),
                         }
-                    }
-                }
-                *st = (b, pref);
+                    },
+                );
             });
             lookups += n as u64;
         }
@@ -253,59 +312,83 @@ pub fn match_text_into<T: MatchTables>(
     if n == 0 {
         return;
     }
-    if let Some(k) = chunk_grain(ctx, tables, n) {
-        return match_text_chunk_grained(ctx, tables, text, scratch, out, k);
-    }
-    ascend_descend(ctx, tables, text, scratch);
     let mut grows = 0u64;
+    let mut pats = std::mem::take(&mut scratch.pats);
+    ensure(&mut pats, n, &mut grows);
+    descend_into(ctx, tables, text, scratch, &mut pats, |blocks, name| {
+        if blocks == 0 {
+            return (None, 0, None);
+        }
+        let owner = tables.owner(name);
+        match tables.longest_pattern(name) {
+            Some((pid, plen)) => (Some(pid), plen, owner),
+            None => (None, 0, owner),
+        }
+    });
+    let state = &scratch.state;
     extend_counted(
         &mut out.prefix_len,
         n,
-        scratch.state.iter().map(|s| s.0),
+        state.iter().map(|s| s.0),
         &mut grows,
     );
     extend_counted(
         &mut out.prefix_name,
         n,
-        scratch.state.iter().map(|s| s.1),
+        state.iter().map(|s| s.1),
         &mut grows,
     );
-    ctx.cost.phase("text/longest-lookup", || {
-        ensure(&mut scratch.pats, n, &mut grows);
-        let names = &out.prefix_name;
-        let lens = &out.prefix_len;
-        ctx.for_each_mut(&mut scratch.pats, |i, v| {
-            *v = if lens[i] == 0 {
-                (None, 0, None)
-            } else {
-                let owner = tables.owner(names[i]);
-                match tables.longest_pattern(names[i]) {
-                    Some((pid, plen)) => (Some(pid), plen, owner),
-                    None => (None, 0, owner),
-                }
-            };
-        });
-    });
-    scratch.lookups += n as u64;
     extend_counted(
         &mut out.longest_pattern,
         n,
-        scratch.pats.iter().map(|p| p.0),
+        pats.iter().map(|p| p.0),
         &mut grows,
     );
     extend_counted(
         &mut out.longest_pattern_len,
         n,
-        scratch.pats.iter().map(|p| p.1),
+        pats.iter().map(|p| p.1),
         &mut grows,
     );
     extend_counted(
         &mut out.prefix_owner,
         n,
-        scratch.pats.iter().map(|p| p.2),
+        pats.iter().map(|p| p.2),
         &mut grows,
     );
+    scratch.pats = pats;
     scratch.grows += grows;
+}
+
+/// Theorem 1's ascent and descent over `text`, then the §4.2
+/// `text/longest-lookup` round, which sets `out[i] = at(blocks, name)`
+/// from the descent state `(blocks, prefix name)` of each position `i`
+/// (`out.len() == text.len()`), left in `scratch.state`. The round is
+/// charged as `n` table lookups whatever `at` probes, so every caller
+/// reports the same counts. Runs chunk-grained when [`chunk_grain`] says
+/// so: each coarse job then runs the whole pipeline sequentially over an
+/// overlap-extended slice in a child scratch and writes its proper range
+/// of the state and of `out`.
+pub(crate) fn descend_into<T: MatchTables, O: Send>(
+    ctx: &Ctx,
+    tables: &T,
+    text: &[Sym],
+    scratch: &mut TextScratch,
+    out: &mut [O],
+    at: impl Fn(u32, u32) -> O + Sync + Send,
+) {
+    let n = text.len();
+    debug_assert_eq!(out.len(), n);
+    let Some(k) = chunk_grain(ctx, tables, n) else {
+        ascend_descend(ctx, tables, text, scratch);
+        let state = &scratch.state;
+        ctx.cost.phase("text/longest-lookup", || {
+            ctx.for_each_mut(out, |i, o| *o = at(state[i].0, state[i].1));
+        });
+        scratch.lookups += n as u64;
+        return;
+    };
+    descend_chunk_grained(ctx, tables, text, scratch, out, &at, k);
 }
 
 /// How many coarse chunks a parallel match of `n` symbols should split
@@ -326,31 +409,25 @@ fn chunk_grain<T: MatchTables>(ctx: &Ctx, tables: &T, n: usize) -> Option<usize>
     (k >= 2).then_some(k)
 }
 
-/// Chunk-grained parallel matching: one pool round of `k` coarse jobs,
-/// each running the *sequential* ascent/descent/lookup pipeline over an
-/// overlap-extended slice and writing its proper range of the per-position
-/// outputs. Outputs are identical to the whole-text call: every dictionary
-/// prefix starting in a chunk ends within its `m − 1` overlap (the
-/// [`StaticMatcher::match_text_chunked`](crate::static1d::StaticMatcher)
+/// The chunk-grained half of [`descend_into`]: one pool round of `k`
+/// coarse jobs. Outputs are identical to the whole-text call: every
+/// dictionary prefix starting in a chunk ends within its `m − 1` overlap
+/// (the [`StaticMatcher::match_text_chunked`](crate::static1d::StaticMatcher)
 /// argument), and chunks partition `[0, n)`. Per-chunk scratch lives in
 /// `scratch.children`, so steady-state calls stay allocation-free.
-fn match_text_chunk_grained<T: MatchTables>(
+fn descend_chunk_grained<T: MatchTables, O: Send>(
     ctx: &Ctx,
     tables: &T,
     text: &[Sym],
     scratch: &mut TextScratch,
-    out: &mut MatchOutput,
+    out: &mut [O],
+    at: &(impl Fn(u32, u32) -> O + Sync + Send),
     k: usize,
 ) {
     let n = text.len();
     let overlap = tables.chunk_overlap().unwrap_or(0);
     let chunk = n.div_ceil(k);
     let mut grows = 0u64;
-    ensure(&mut out.prefix_len, n, &mut grows);
-    ensure(&mut out.prefix_name, n, &mut grows);
-    ensure(&mut out.longest_pattern, n, &mut grows);
-    ensure(&mut out.longest_pattern_len, n, &mut grows);
-    ensure(&mut out.prefix_owner, n, &mut grows);
 
     let mut children = std::mem::take(&mut scratch.children);
     if children.len() < k {
@@ -358,89 +435,57 @@ fn match_text_chunk_grained<T: MatchTables>(
         grows += 1;
     }
 
-    struct Job<'a> {
+    struct Job<'a, O> {
         text: &'a [Sym],
-        take: usize,
         scratch: &'a mut TextScratch,
-        pl: &'a mut [u32],
-        pn: &'a mut [u32],
-        lp: &'a mut [Option<PatId>],
-        ll: &'a mut [u32],
-        po: &'a mut [Option<PatId>],
+        state: &'a mut [(u32, u32)],
+        out: &'a mut [O],
+        /// Sequential, with a cost model of its own: jobs run at once, so
+        /// they charge apart and are absorbed in chunk order afterwards.
+        ctx: Ctx,
     }
 
-    let mut jobs: Vec<Job> = Vec::with_capacity(k);
+    ensure(&mut scratch.state, n, &mut grows);
+    let mut jobs: Vec<Job<O>> = Vec::with_capacity(k);
     {
-        let mut pl = &mut out.prefix_len[..];
-        let mut pn = &mut out.prefix_name[..];
-        let mut lp = &mut out.longest_pattern[..];
-        let mut ll = &mut out.longest_pattern_len[..];
-        let mut po = &mut out.prefix_owner[..];
-        let mut at = 0usize;
+        let (mut state, mut rest) = (&mut scratch.state[..], out);
+        let mut from = 0usize;
         for child in children.iter_mut().take(k) {
-            let end = (at + chunk).min(n);
-            let ext = (end + overlap).min(n);
-            let take = end - at;
-            let (pl0, rest) = pl.split_at_mut(take);
-            pl = rest;
-            let (pn0, rest) = pn.split_at_mut(take);
-            pn = rest;
-            let (lp0, rest) = lp.split_at_mut(take);
-            lp = rest;
-            let (ll0, rest) = ll.split_at_mut(take);
-            ll = rest;
-            let (po0, rest) = po.split_at_mut(take);
-            po = rest;
+            let end = (from + chunk).min(n);
+            let (my_state, state_tail) = state.split_at_mut(end - from);
+            let (mine, tail) = rest.split_at_mut(end - from);
+            (state, rest) = (state_tail, tail);
             jobs.push(Job {
-                text: &text[at..ext],
-                take,
+                text: &text[from..(end + overlap).min(n)],
                 scratch: child,
-                pl: pl0,
-                pn: pn0,
-                lp: lp0,
-                ll: ll0,
-                po: po0,
+                state: my_state,
+                out: mine,
+                ctx: Ctx::seq(),
             });
-            at = end;
-            if at >= n {
+            from = end;
+            if from >= n {
                 break;
             }
         }
     }
 
     ctx.for_each_mut_ops(&mut jobs, n as u64, |_, job| {
-        // Each job runs the whole pipeline sequentially (sharing the cost
-        // model, so phases/work still accrue to this call) and writes its
-        // proper output range in place — no intermediate buffer, and the
-        // longest-pattern lookup skips the overlap tail entirely.
-        let seq = Ctx {
-            exec: pdm_pram::ExecPolicy::Seq,
-            cost: ctx.cost.clone(),
-        };
-        ascend_descend(&seq, tables, job.text, job.scratch);
-        let take = job.take;
-        let state = &job.scratch.state[..take];
-        seq.cost.phase("text/longest-lookup", || {
-            for (i, &(blocks, name)) in state.iter().enumerate() {
-                job.pl[i] = blocks;
-                job.pn[i] = name;
-                let (lp, ll, po) = if blocks == 0 {
-                    (None, 0, None)
-                } else {
-                    let owner = tables.owner(name);
-                    match tables.longest_pattern(name) {
-                        Some((pid, plen)) => (Some(pid), plen, owner),
-                        None => (None, 0, owner),
-                    }
-                };
-                job.lp[i] = lp;
-                job.ll[i] = ll;
-                job.po[i] = po;
+        // Each job runs the whole pipeline sequentially and writes its
+        // proper range in place; the lookup skips the overlap tail.
+        ascend_descend(&job.ctx, tables, job.text, job.scratch);
+        job.state
+            .copy_from_slice(&job.scratch.state[..job.state.len()]);
+        let state = &job.state;
+        job.ctx.cost.phase("text/longest-lookup", || {
+            for (o, &(blocks, name)) in job.out.iter_mut().zip(state.iter()) {
+                *o = at(blocks, name);
             }
         });
-        job.scratch.lookups += take as u64;
+        job.scratch.lookups += job.out.len() as u64;
     });
-    drop(jobs);
+    for job in jobs {
+        ctx.cost.absorb(&job.ctx.cost);
+    }
 
     // Fold child counters into the session scratch (drain-to-zero so the
     // caller's per-call deltas stay meaningful).
@@ -591,6 +636,16 @@ impl MatchTables for super::tables::StaticTables {
     #[inline]
     fn ext_lookup(&self, k: usize, pref: u32, block: u32) -> Option<u32> {
         self.read.ext[k].lookup(pref, block)
+    }
+
+    fn pair_prefetch(&self, k: usize) -> Option<&FrozenNameTable> {
+        let t = &self.read.pair[k - 1];
+        t.raw().prefetch_pays().then_some(t)
+    }
+
+    fn ext_prefetch(&self, k: usize) -> Option<&FrozenNameTable> {
+        let t = &self.read.ext[k];
+        t.raw().prefetch_pays().then_some(t)
     }
 
     fn longest_pattern(&self, pref: u32) -> Option<(PatId, u32)> {

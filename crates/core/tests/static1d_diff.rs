@@ -3,10 +3,13 @@
 
 use pdm_baselines::{naive, AhoCorasick};
 use pdm_core::dict::symbolize;
-use pdm_core::static1d::StaticMatcher;
-use pdm_pram::Ctx;
-use pdm_textgen::strings;
+use pdm_core::prefilter::PrefilterDecision;
+use pdm_core::scratch::TextScratch;
+use pdm_core::static1d::{MatchOutput, StaticMatcher, PREFETCH_DISTANCE};
+use pdm_pram::{CostModel, Ctx};
 use pdm_textgen::Alphabet;
+use pdm_textgen::{corpus, strings};
+use std::sync::Arc;
 
 fn check_instance(ctx: &Ctx, patterns: &[Vec<u32>], text: &[u32], tag: &str) {
     let matcher = StaticMatcher::build(ctx, patterns).expect("build");
@@ -206,28 +209,102 @@ fn match_is_repeatable_on_same_matcher() {
     assert_eq!(a, b);
 }
 
+/// `find_all` against Aho–Corasick at every width (`Ctx::seq`,
+/// `with_threads(1|2|4)`) on texts of 1, `D − 1`, `D` and `D + 1` symbols
+/// (`D` = [`PREFETCH_DISTANCE`]) and 4,127 (a served 4 KiB chunk plus its
+/// 31-symbol carry). The dictionaries: small DNA excerpt sets; one with a
+/// 2,000-symbol pattern, whose overlap keeps 4,127 symbols on the pooled
+/// per-level rounds rather than the chunk-grained split; and a
+/// `genome_default` excerpt set whose `ext[0]` and `ext[1]` key arrays are
+/// large enough that their levels prefetch. `find_all_into` must also
+/// charge the same table lookups and `CostModel` phases as `match_into`.
 #[test]
 fn find_all_agrees_with_aho_corasick() {
-    let ctx = Ctx::seq();
+    let d = PREFETCH_DISTANCE;
+    let lens = [1, d - 1, d, d + 1, 4127];
+    let ctxs = [
+        Ctx::seq(),
+        Ctx::with_threads(1),
+        Ctx::with_threads(2),
+        Ctx::with_threads(4),
+    ];
+    // (tag, patterns, texts)
+    let mut cases = Vec::new();
     for seed in 300..306 {
         let mut r = strings::rng(seed);
         let mut text = strings::random_text(&mut r, Alphabet::Dna, 300);
         let pats = strings::excerpt_dictionary(&mut r, &text, 8, 1, 12);
         strings::plant_occurrences(&mut r, &mut text, &pats, 10);
-        let m = StaticMatcher::build(&ctx, &pats).unwrap();
-        let got: Vec<(usize, usize)> = m
-            .find_all(&ctx, &text)
-            .into_iter()
-            .map(|(i, p)| (i, p as usize))
-            .collect();
-        let ac = AhoCorasick::new(&pats);
-        let mut want: Vec<(usize, usize)> = ac
-            .find_all(&text)
-            .into_iter()
-            .map(|o| (o.start, o.pat))
-            .collect();
-        want.sort();
-        assert_eq!(got, want, "seed {seed}");
+        let mut long = strings::random_text(&mut r, Alphabet::Dna, 4127);
+        strings::plant_occurrences(&mut r, &mut long, &pats, 100);
+        let mut texts = vec![text];
+        texts.extend(lens.iter().map(|&n| long[..n].to_vec()));
+        cases.push((format!("seed {seed}"), pats, texts));
+    }
+    {
+        let mut r = strings::rng(306);
+        let mut long = strings::random_text(&mut r, Alphabet::Dna, 4127);
+        let mut pats = strings::excerpt_dictionary(&mut r, &long, 12, 2, 20);
+        strings::plant_occurrences(&mut r, &mut long, &pats, 100);
+        pats.push(long[1000..3000].to_vec());
+        let texts: Vec<Vec<u32>> = lens.iter().map(|&n| long[..n].to_vec()).collect();
+        cases.push(("long pattern".to_string(), pats, texts));
+    }
+    let mut r = strings::rng(307);
+    let genome = corpus::genome_default(&mut r, 400_000);
+    let genome_pats = strings::excerpt_dictionary(&mut r, &genome, 20_000, 12, 32);
+    let from = 123_457;
+    let texts = lens
+        .iter()
+        .map(|&n| genome[from..from + n].to_vec())
+        .collect();
+    cases.push(("genome".to_string(), genome_pats, texts));
+
+    for (tag, pats, texts) in &cases {
+        let m = StaticMatcher::build(&Ctx::seq(), pats).unwrap();
+        assert!(
+            matches!(m.prefilter_decision(), PrefilterDecision::Disabled(_)),
+            "{tag}: DNA dictionaries decline the prefilter, so find_all runs the unfiltered path"
+        );
+        if tag == "genome" {
+            for k in 0..2 {
+                assert!(m.tables().read.ext[k].raw().prefetch_pays(), "ext[{k}]");
+            }
+        }
+        let ac = AhoCorasick::new(pats);
+        for text in texts {
+            let mut want: Vec<(usize, usize)> = ac
+                .find_all(text)
+                .into_iter()
+                .map(|o| (o.start, o.pat))
+                .collect();
+            want.sort();
+            for ctx in &ctxs {
+                let at = format!("{tag}, n {}, {:?}", text.len(), ctx.exec);
+                let got: Vec<(usize, usize)> = m
+                    .find_all(ctx, text)
+                    .into_iter()
+                    .map(|(i, p)| (i, p as usize))
+                    .collect();
+                assert_eq!(got, want, "{at}");
+
+                let fresh = || Ctx {
+                    exec: ctx.exec.clone(),
+                    cost: Arc::new(CostModel::new()),
+                };
+                let (fa, mi) = (fresh(), fresh());
+                let (mut fa_scratch, mut mi_scratch) = (TextScratch::new(), TextScratch::new());
+                m.find_all_into(&fa, text, &mut fa_scratch, &mut Vec::new());
+                m.match_into(&mi, text, &mut mi_scratch, &mut MatchOutput::empty());
+                assert_eq!(
+                    fa_scratch.table_lookups(),
+                    mi_scratch.table_lookups(),
+                    "{at}: table lookups"
+                );
+                assert_eq!(fa.cost.phases(), mi.cost.phases(), "{at}: phases");
+                assert_eq!(fa.cost.snapshot(), mi.cost.snapshot(), "{at}: rounds, work");
+            }
+        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! The `PDMX` sidecar format: a versioned, CRC'd serialization of a built
-//! [`CorpusIndex`](crate::CorpusIndex) so `pdm index` pays the construction
+//! [`CorpusIndex`] so `pdm index` pays the construction
 //! cost once and `pdm query` only ever reads.
 //!
 //! Layout (all integers little-endian):

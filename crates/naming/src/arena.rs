@@ -213,6 +213,13 @@ impl FrozenNameTable {
         self.table.get(a, b)
     }
 
+    /// Start loading the slot a later [`Self::lookup`] of `(a, b)` probes
+    /// first (see [`FrozenPairTable::prefetch`]).
+    #[inline]
+    pub fn prefetch(&self, a: u32, b: u32) {
+        self.table.prefetch(a, b)
+    }
+
     /// Read-only tuple lookup with the same left-chained shape as
     /// [`NameTable::name_tuple`].
     pub fn lookup_tuple(&self, t: &[u32]) -> Option<u32> {

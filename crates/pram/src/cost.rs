@@ -96,7 +96,30 @@ impl CostModel {
         let before = self.snapshot();
         let r = f();
         let delta = self.snapshot().since(before);
+        Self::add_phase(&mut self.lock_phases(), name, delta);
+        r
+    }
+
+    /// Charge to this model everything `other` recorded — rounds, work and
+    /// phases — as if it had been charged here. A phase measures the
+    /// counters' movement while it runs, so jobs running concurrently on
+    /// one model would split rounds between their phases by timing; jobs
+    /// that charge private models, absorbed afterwards in a fixed order,
+    /// give the same phases however they interleaved.
+    pub fn absorb(&self, other: &CostModel) {
+        let s = other.snapshot();
+        self.rounds(s.rounds, s.work);
         let mut phases = self.lock_phases();
+        for p in other.lock_phases().iter() {
+            let delta = CostSnapshot {
+                rounds: p.rounds,
+                work: p.work,
+            };
+            Self::add_phase(&mut phases, p.name, delta);
+        }
+    }
+
+    fn add_phase(phases: &mut Vec<PhaseStats>, name: &'static str, delta: CostSnapshot) {
         match phases.iter_mut().find(|p| p.name == name) {
             Some(p) => {
                 p.rounds += delta.rounds;
@@ -108,7 +131,6 @@ impl CostModel {
                 work: delta.work,
             }),
         }
-        r
     }
 
     /// All recorded phases in first-occurrence order, repeated names
@@ -184,6 +206,26 @@ mod tests {
         let ps = c.phases();
         assert_eq!(ps[0].rounds, 10_000);
         assert_eq!(ps[0].work, 10_000);
+    }
+
+    #[test]
+    fn absorb_adds_counters_and_phases() {
+        let (c, job) = (CostModel::new(), CostModel::new());
+        c.phase("ascent", || c.round(4));
+        job.phase("descent", || job.round(3));
+        job.phase("ascent", || job.rounds(2, 6));
+        c.absorb(&job);
+        assert_eq!(
+            c.snapshot(),
+            CostSnapshot {
+                rounds: 4,
+                work: 13
+            }
+        );
+        let ps = c.phases();
+        assert_eq!(ps.len(), 2);
+        assert_eq!((ps[0].name, ps[0].rounds, ps[0].work), ("ascent", 3, 10));
+        assert_eq!((ps[1].name, ps[1].rounds, ps[1].work), ("descent", 1, 3));
     }
 
     #[test]

@@ -224,6 +224,32 @@ impl Ctx {
         }
     }
 
+    /// One PRAM round updating a slice in place, dealt in contiguous
+    /// blocks: `f(start, block)` where `block` is
+    /// `out[start..start + block.len()]` and the blocks partition `out`.
+    /// Sequential and small rounds pass all of `out` as one block; pooled
+    /// rounds deal blocks of at least [`MIN_CHUNK`] items. For loop bodies
+    /// that look ahead of the item they update (software prefetch) and
+    /// must stay inside their own block. Charges 1 round / `len` work.
+    pub fn for_each_block_mut<T, F>(&self, out: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut [T]) + Sync + Send,
+    {
+        self.cost.round(out.len() as u64);
+        if !self.dispatch(out.len()) {
+            f(0, out);
+        } else {
+            let block = out.len().div_ceil(4 * self.exec.threads()).max(MIN_CHUNK);
+            self.exec.install(|| {
+                use rayon::prelude::*;
+                out.par_chunks_mut(block)
+                    .enumerate()
+                    .for_each(|(c, blk)| f(c * block, blk));
+            })
+        }
+    }
+
     /// Parallel reduction in `O(log n)` PRAM rounds / `O(n)` work.
     pub fn reduce<T, F, G>(&self, n: usize, identity: T, eval: F, combine: G) -> T
     where
@@ -302,6 +328,26 @@ mod tests {
             let mut v = vec![0usize; 3000];
             ctx.for_each_mut(&mut v, |i, x| *x = i + 1);
             assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1));
+        }
+    }
+
+    #[test]
+    fn for_each_block_mut_partitions_into_contiguous_blocks() {
+        for ctx in ctxs() {
+            for len in [0usize, 5, MIN_CHUNK, 3 * MIN_CHUNK + 17] {
+                let mut v = vec![0usize; len];
+                let blocks = AtomicU64::new(0);
+                ctx.for_each_block_mut(&mut v, |start, blk| {
+                    blocks.fetch_add(1, Ordering::Relaxed);
+                    for (j, x) in blk.iter_mut().enumerate() {
+                        *x = start + j + 1;
+                    }
+                });
+                assert!(v.iter().enumerate().all(|(i, &x)| x == i + 1), "{len}");
+                if len <= MIN_CHUNK || !ctx.is_parallel() {
+                    assert_eq!(blocks.load(Ordering::Relaxed), 1, "{len}");
+                }
+            }
         }
     }
 

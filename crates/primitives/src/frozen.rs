@@ -13,12 +13,37 @@
 //! 12-byte slots so the probe loop touches only the key array — 8 bytes per
 //! slot, 8 slots per cache line — and the value array is touched once per
 //! successful lookup.
+//!
+//! Large tables live in DRAM, so the text side overlaps their misses
+//! (DESIGN.md §11): [`FrozenPairTable::prefetch`] starts loading a probe's
+//! home key and value lines ahead of the probe. Its intrinsic is the only
+//! `unsafe` in the workspace crates, and compiles to nothing off x86-64.
 
 use crate::conc_table::ConcPairTable;
 use crate::hash::mix64;
 use crate::table::pack;
 
 const EMPTY_KEY: u64 = u64::MAX;
+
+/// Tables whose key array is smaller than this mostly stay in cache, where
+/// a prefetch only adds work: the text side prefetches probes only into
+/// tables at least this large (see [`FrozenPairTable::prefetch_pays`]).
+pub const PREFETCH_MIN_BYTES: usize = 1 << 20;
+
+/// Start loading the cache line holding `*p`. A hint only.
+#[inline(always)]
+fn prefetch_line<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and neither reads a value into the
+    // program nor writes memory, whatever the address; callers pass
+    // in-bounds slot addresses anyway.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
 
 /// Why serialized slot arrays are not a valid [`FrozenPairTable`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -208,6 +233,24 @@ impl FrozenPairTable {
         self.len == 0
     }
 
+    /// Whether prefetching this table's probes can pay: its key array is
+    /// at least [`PREFETCH_MIN_BYTES`], so probes mostly miss cache.
+    pub fn prefetch_pays(&self) -> bool {
+        self.keys.len() * std::mem::size_of::<u64>() >= PREFETCH_MIN_BYTES
+    }
+
+    /// Start loading the home slot of `(a, b)` — its key line and its
+    /// value line — so a [`Self::get`] issued a few probes later finds them
+    /// in cache. Most text-side probes go to DRAM on large tables and are
+    /// independent across positions; prefetching both lines lets their
+    /// misses overlap instead of queueing one behind another.
+    #[inline]
+    pub fn prefetch(&self, a: u32, b: u32) {
+        let idx = mix64(pack(a, b)) as usize & self.mask;
+        prefetch_line(self.keys.as_ptr().wrapping_add(idx));
+        prefetch_line(self.vals.as_ptr().wrapping_add(idx));
+    }
+
     /// Read-only lookup: `Some(value)` iff `(a, b)` was in the frozen set.
     #[inline]
     pub fn get(&self, a: u32, b: u32) -> Option<u32> {
@@ -361,6 +404,21 @@ mod tests {
             FrozenPairTable::from_raw_parts(keys.into(), vals.into(), f.len()).err(),
             Some(RawTableError::OffProbePath { slot: to })
         );
+    }
+
+    #[test]
+    fn prefetch_changes_no_lookup() {
+        let entries: Vec<(u32, u32, u32)> = (0..300u32).map(|i| (i, i ^ 5, i)).collect();
+        let f = FrozenPairTable::from_entries(&entries);
+        assert!(!f.prefetch_pays(), "2,048 slots stay in cache");
+        for &(a, b, v) in &entries {
+            f.prefetch(a, b);
+            f.prefetch(b, a);
+            assert_eq!(f.get(a, b), Some(v));
+        }
+        let empty = FrozenPairTable::from_entries(&[]);
+        empty.prefetch(u32::MAX, 7);
+        assert_eq!(empty.get(u32::MAX, 7), None);
     }
 
     proptest! {

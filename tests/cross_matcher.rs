@@ -6,7 +6,10 @@ use pdm::baselines::{naive, AhoCorasick};
 use pdm::core::equal_len::EqualLenMatcher;
 use pdm::core::smallalpha::SmallAlphaMatcher;
 use pdm::prelude::*;
-use pdm::textgen::{strings, Alphabet};
+use pdm::stream::StreamMatcher;
+use pdm::textgen::{corpus, strings, Alphabet};
+use pdm_dict::{DictStore, SnapshotPath};
+use std::sync::Arc;
 
 fn as_usize(v: &[Option<PatId>]) -> Vec<Option<usize>> {
     v.iter().map(|o| o.map(|p| p as usize)).collect()
@@ -147,4 +150,76 @@ fn parallel_and_sequential_outputs_identical_everywhere() {
         st.match_text(&seq, &text).longest_pattern,
         st_par.match_text(&par, &text).longest_pattern
     );
+}
+
+/// Every `(start, pattern)` occurrence, sorted, from the baseline.
+fn ac_all(pats: &[Vec<u32>], text: &[u32]) -> Vec<(usize, usize)> {
+    let mut v: Vec<(usize, usize)> = AhoCorasick::new(pats)
+        .find_all(text)
+        .into_iter()
+        .map(|o| (o.start, o.pat))
+        .collect();
+    v.sort_unstable();
+    v
+}
+
+fn as_pairs(v: Vec<(usize, PatId)>) -> Vec<(usize, usize)> {
+    v.into_iter().map(|(i, p)| (i, p as usize)).collect()
+}
+
+/// All-matches output of the three serving paths — a built
+/// `StaticMatcher`, the frozen dynamic epoch an incremental `DictStore`
+/// commit publishes, and a `StreamMatcher` fed 4 KiB chunks — against
+/// Aho–Corasick on the textgen genome and log workloads.
+#[test]
+fn serving_paths_find_all_agree_with_aho_corasick() {
+    let ctx = Ctx::seq();
+    let mut r = strings::rng(91);
+    let workloads = [
+        ("genome", corpus::genome_default(&mut r, 60_000)),
+        ("log", corpus::log_lines(&mut r, 60_000, 48)),
+    ];
+    for (tag, text) in &workloads {
+        let pats = strings::excerpt_dictionary(&mut r, text, 400, 8, 32);
+
+        let st = StaticMatcher::build(&ctx, &pats).unwrap();
+        let want = ac_all(&pats, text);
+        assert!(!want.is_empty(), "{tag}: excerpts occur");
+        assert_eq!(as_pairs(st.find_all(&ctx, text)), want, "{tag}: static");
+
+        // Commit most of the dictionary, then a small batch that takes
+        // the incremental path: its epoch is the frozen dynamic matcher.
+        let mut store = DictStore::in_memory();
+        let (bulk, late) = pats.split_at(pats.len() - 20);
+        for p in bulk {
+            store.stage_add(p).unwrap();
+        }
+        store.commit(&ctx).unwrap();
+        for p in late {
+            store.stage_add(p).unwrap();
+        }
+        for p in &bulk[..10] {
+            store.stage_remove(p).unwrap();
+        }
+        let outcome = store.commit(&ctx).unwrap();
+        assert_eq!(outcome.path, SnapshotPath::Incremental, "{tag}");
+        let snap = &outcome.snapshot;
+        let live = snap
+            .patterns()
+            .expect("a committed epoch keeps its patterns");
+        assert_eq!(
+            as_pairs(snap.find_all(&ctx, text)),
+            ac_all(live, text),
+            "{tag}: incremental epoch"
+        );
+
+        let mut cursor = StreamMatcher::new(Arc::new(st));
+        let mut streamed: Vec<(usize, usize)> = text
+            .chunks(4096)
+            .flat_map(|chunk| cursor.push(&ctx, chunk))
+            .map(|m| (m.start as usize, m.pat as usize))
+            .collect();
+        streamed.sort_unstable();
+        assert_eq!(streamed, want, "{tag}: stream");
+    }
 }
