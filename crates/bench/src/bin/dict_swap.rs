@@ -21,7 +21,7 @@
 //! 50% margin as the other bench guards, read as a rate.
 
 use pdm_core::dict::{to_symbols, Sym};
-use pdm_dict::{DictStore, SnapshotPath};
+use pdm_dict::{DictStore, SnapshotPath, StageOp};
 use pdm_pram::Ctx;
 use pdm_stream::{DictAdmin, GlobalMetrics, ServiceConfig, ShardedService};
 use pdm_textgen::{strings, Alphabet};
@@ -164,7 +164,9 @@ fn main() {
     let admin = DictAdmin::new(seeded(&ctx, base), ctx.exec.clone()).unwrap();
     let idle: Vec<f64> = (0..commits)
         .map(|c| {
-            admin.add(&pat("idle", c)).unwrap();
+            admin.stage(&[StageOp::Add(&pat("idle", c))])[0]
+                .as_ref()
+                .unwrap();
             let t0 = Instant::now();
             admin.commit(&metrics).unwrap();
             ms(t0.elapsed())
@@ -198,7 +200,9 @@ fn main() {
         }
         (0..commits)
             .map(|c| {
-                admin.add(&pat("load", c)).unwrap();
+                admin.stage(&[StageOp::Add(&pat("load", c))])[0]
+                    .as_ref()
+                    .unwrap();
                 let t0 = Instant::now();
                 admin.commit(&metrics).unwrap();
                 let d = ms(t0.elapsed());

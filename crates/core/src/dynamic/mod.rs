@@ -41,7 +41,8 @@ use pdm_naming::dynamic::{DynTable, StampList};
 use pdm_naming::prefix::{dyadic_names, fold_step};
 use pdm_naming::{FrozenNameTable, NamePool, IDENTITY};
 use pdm_pram::{ceil_log2, Ctx};
-use pdm_primitives::FxHashMap;
+use pdm_primitives::table::unpack;
+use pdm_primitives::{FrozenPairTable, FxHashMap};
 use std::sync::Arc;
 use trie::PatternTrie;
 
@@ -66,6 +67,44 @@ impl std::fmt::Display for DynError {
 }
 
 impl std::error::Error for DynError {}
+
+/// How [`DynamicMatcher::freeze`] produced its frozen `sym`/`pair`/`ext`
+/// tables — the costliest route any one table took.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FreezeRoute {
+    /// Every table was patched in place (or had nothing to patch): no
+    /// reader still held the copy published two freezes ago.
+    InPlace,
+    /// Some table was patched on a fresh copy of its slot arrays, because
+    /// an epoch still held the copy (or no second copy existed yet).
+    Copied,
+    /// Some table was re-frozen from its entries: the first freeze, one
+    /// after a squeeze-out rebuild or [`DynamicMatcher::drop_frozen`], a
+    /// new level, or an entry count that changes the table's slot count.
+    Refrozen,
+}
+
+/// One frozen copy of the text-side tables, up to the `K` it was frozen
+/// at. Its tables share their slot arrays with the epoch that published
+/// them.
+#[derive(Debug, Clone)]
+struct FrozenCopy {
+    sym: FrozenNameTable,
+    pair: Vec<FrozenNameTable>,
+    ext: Vec<FrozenNameTable>,
+}
+
+/// The two frozen copies [`DynamicMatcher::freeze`] alternates between.
+/// Each freeze marks every table's change log, so a table's
+/// [`DynTable::logged`] keys are exactly what `older` lacks.
+#[derive(Debug)]
+struct FrozenCopies {
+    /// Published by the freeze before last (`None` after the first
+    /// freeze): what the next freeze patches.
+    older: Option<FrozenCopy>,
+    /// Published by the last freeze.
+    newer: FrozenCopy,
+}
 
 /// Fully dynamic dictionary matcher (insert + delete + match). Using only
 /// `insert`/`match_text` gives the partly dynamic variant of §6.1.
@@ -97,6 +136,9 @@ pub struct DynamicMatcher {
     live_syms: usize,
     total_syms: usize,
     rebuilds: usize,
+    /// Frozen copies kept for the next [`Self::freeze`] to patch; while
+    /// they exist, the `sym`/`pair`/`ext` tables log their changes.
+    frozen: Option<FrozenCopies>,
 }
 
 impl Default for DynamicMatcher {
@@ -125,6 +167,7 @@ impl DynamicMatcher {
             live_syms: 0,
             total_syms: 0,
             rebuilds: 0,
+            frozen: None,
         }
     }
 
@@ -269,9 +312,21 @@ impl DynamicMatcher {
     /// chains. `order[i]` is the id (from [`Self::insert`]) of the live
     /// pattern that becomes pattern `i` of the result; it must list every
     /// live pattern once. Matching through the result is the static text
-    /// side verbatim (Theorems 8 and 10: "as static"), with `O(M)` work to
-    /// freeze and no naming rounds. The result carries no prefilter.
-    pub fn freeze(&self, order: &[PatId]) -> StaticMatcher {
+    /// side verbatim (Theorems 8 and 10: "as static"), with no naming
+    /// rounds. The result carries no prefilter.
+    ///
+    /// The frozen tables cost what changed since they were last frozen,
+    /// not the dictionary: this matcher keeps the tables of the last two
+    /// freezes and patches the older copy — published two freezes ago —
+    /// with the keys its tables created or removed since
+    /// ([`FrozenNameTable::patch`]): in place once no epoch holds that copy
+    /// any more, on a copy of the arrays otherwise. A table is re-frozen
+    /// from its entries only on the first freeze, after a squeeze-out
+    /// rebuild or [`Self::drop_frozen`], at a level the copy lacks, or when
+    /// its entry count changes its slot count. The attribution maps,
+    /// chains and prefix lists stay `O(M)` per freeze: a removal renumbers
+    /// the canonical ids they hold.
+    pub fn freeze(&mut self, order: &[PatId]) -> (StaticMatcher, FreezeRoute) {
         assert!(!order.is_empty(), "an empty dictionary has no static form");
         debug_assert_eq!(
             order.len(),
@@ -295,18 +350,80 @@ impl DynamicMatcher {
                 && self.ext[levels + 1..].iter().all(DynTable::is_empty),
             "levels above the live K hold no entries"
         );
-        let freeze = |t: &DynTable| FrozenNameTable::from_entries(&t.entries());
-        let read = ReadTables::from_frozen(
-            freeze(&self.sym),
-            self.pair[..levels].iter().map(freeze).collect(),
-            self.ext[..=levels].iter().map(freeze).collect(),
-        );
-        StaticMatcher::from_frozen_tables(StaticTables::from_read_parts(
+        let (copy, route) = self.refresh_frozen(levels);
+        let read = ReadTables::from_frozen(copy.sym, copy.pair, copy.ext);
+        let m = StaticMatcher::from_frozen_tables(StaticTables::from_read_parts(
             read,
             prefs,
             self.fold.len(),
             self.pool.allocated(),
-        ))
+        ));
+        (m, route)
+    }
+
+    /// Drop both frozen copies and stop logging table changes; the next
+    /// [`Self::freeze`] re-freezes every table. For owners that stop
+    /// freezing for a while (a store publishing a full rebuild instead), so
+    /// neither the copies nor the logs outlive their use.
+    pub fn drop_frozen(&mut self) {
+        self.frozen = None;
+        self.tables_mut().for_each(DynTable::stop_log);
+    }
+
+    /// The `sym`, `pair` and `ext` tables: the ones frozen copies mirror.
+    fn tables_mut(&mut self) -> impl Iterator<Item = &mut DynTable> {
+        std::iter::once(&mut self.sym)
+            .chain(self.pair.iter_mut())
+            .chain(self.ext.iter_mut())
+    }
+
+    /// A new level table, logging from the start if frozen copies exist.
+    fn new_table(&self) -> DynTable {
+        let mut t = DynTable::new(self.pool.clone());
+        if self.frozen.is_some() {
+            t.mark_log();
+        }
+        t
+    }
+
+    /// Bring the older frozen copy (or, right after the first freeze, a
+    /// clone of the newer one) up to the live tables at `levels`, table by
+    /// table, and rotate it in as the newer copy. Returns it for
+    /// publishing — its arrays shared with the copy kept here — and the
+    /// costliest route a table took.
+    fn refresh_frozen(&mut self, levels: usize) -> (FrozenCopy, FreezeRoute) {
+        // The base is moved, never cloned, unless it is the only copy: a
+        // clone shares the arrays and sends every patch onto a copy. A
+        // fresh log (right after the first freeze) holds exactly what the
+        // newer copy lacks.
+        let (base, newer) = match self.frozen.take() {
+            None => (None, None),
+            Some(FrozenCopies {
+                older: Some(older),
+                newer,
+            }) => (Some(older), Some(newer)),
+            Some(FrozenCopies { older: None, newer }) => (Some(newer.clone()), Some(newer)),
+        };
+        let (base_sym, base_pair, base_ext) = match base {
+            Some(FrozenCopy { sym, pair, ext }) => (Some(sym), pair, ext),
+            None => (None, Vec::new(), Vec::new()),
+        };
+        let (mut base_pair, mut base_ext) = (base_pair.into_iter(), base_ext.into_iter());
+        let mut route = FreezeRoute::InPlace;
+        let sym = refresh(base_sym, &self.sym, &mut route);
+        let pair = (0..levels)
+            .map(|k| refresh(base_pair.next(), &self.pair[k], &mut route))
+            .collect();
+        let ext = (0..=levels)
+            .map(|k| refresh(base_ext.next(), &self.ext[k], &mut route))
+            .collect();
+        let fresh = FrozenCopy { sym, pair, ext };
+        self.frozen = Some(FrozenCopies {
+            older: newer,
+            newer: fresh.clone(),
+        });
+        self.tables_mut().for_each(DynTable::mark_log);
+        (fresh, route)
     }
 
     fn insert_into_tables(&mut self, ctx: &Ctx, pid: PatId) {
@@ -317,11 +434,11 @@ impl DynamicMatcher {
         // them).
         let needed = ceil_log2(lam) as usize;
         while self.levels < needed {
-            self.pair.push(DynTable::new(self.pool.clone()));
+            self.pair.push(self.new_table());
             self.levels += 1;
         }
         while self.ext.len() < self.levels + 1 {
-            self.ext.push(DynTable::new(self.pool.clone()));
+            self.ext.push(self.new_table());
         }
         let (blocks, prefs) = dyadic_names(
             &pattern,
@@ -404,6 +521,8 @@ impl DynamicMatcher {
     /// (ids preserved). Amortized against the deletions that shrank us.
     fn rebuild(&mut self, ctx: &Ctx) {
         self.rebuilds += 1;
+        // Every name changes, so no frozen copy can be patched.
+        self.frozen = None;
         self.pool = NamePool::dictionary();
         self.sym = DynTable::new(self.pool.clone());
         self.fold = DynTable::new(self.pool.clone());
@@ -424,6 +543,37 @@ impl DynamicMatcher {
             .collect();
         for pid in live {
             self.insert_into_tables(ctx, pid);
+        }
+    }
+}
+
+/// One frozen table brought up to `live`: `base` patched with the current
+/// state of every key `live` logged since `base` was frozen, while its slot
+/// count still fits the live entry count; re-frozen from the live entries
+/// otherwise (or without a base). Raises `route` to the route taken.
+fn refresh(
+    base: Option<FrozenNameTable>,
+    live: &DynTable,
+    route: &mut FreezeRoute,
+) -> FrozenNameTable {
+    match base {
+        Some(mut t) if t.slots_len() == FrozenPairTable::slots_for(live.len()) => {
+            let changes: Vec<(u32, u32, Option<u32>)> = live
+                .logged()
+                .iter()
+                .map(|&k| {
+                    let (a, b) = unpack(k);
+                    (a, b, live.lookup(a, b))
+                })
+                .collect();
+            if t.patch(&changes) {
+                *route = (*route).max(FreezeRoute::Copied);
+            }
+            t
+        }
+        _ => {
+            *route = FreezeRoute::Refrozen;
+            FrozenNameTable::from_entries(&live.entries())
         }
     }
 }

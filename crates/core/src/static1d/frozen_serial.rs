@@ -129,7 +129,10 @@ impl<'a> Reader<'a> {
         Ok(n as usize)
     }
 
-    fn u64s(&mut self, n: usize) -> Result<Vec<u64>, LoadError> {
+    /// `n` little-endian `u64`s, collected straight into the container
+    /// (`Vec`, or a frozen table's shared `Arc<[u64]>`): the exact-length
+    /// iterator allocates it once.
+    fn u64s<C: FromIterator<u64>>(&mut self, n: usize) -> Result<C, LoadError> {
         let bytes = self.take(n * 8)?;
         Ok(bytes
             .chunks_exact(8)
@@ -137,7 +140,7 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, LoadError> {
+    fn u32s<C: FromIterator<u32>>(&mut self, n: usize) -> Result<C, LoadError> {
         let bytes = self.take(n * 4)?;
         Ok(bytes
             .chunks_exact(4)
@@ -148,8 +151,8 @@ impl<'a> Reader<'a> {
     fn frozen(&mut self) -> Result<FrozenNameTable, LoadError> {
         let entries = self.u64()? as usize;
         let slots = self.count(12)?;
-        let keys = self.u64s(slots)?.into_boxed_slice();
-        let vals = self.u32s(slots)?.into_boxed_slice();
+        let keys = self.u64s(slots)?;
+        let vals = self.u32s(slots)?;
         FrozenPairTable::from_raw_parts(keys, vals, entries)
             .map(FrozenNameTable::from_raw)
             .map_err(|e| LoadError(format!("frozen table: {e}")))

@@ -49,6 +49,6 @@ pub use fsck::{fsck_store, Finding, FsckReport, Severity};
 pub use log::{RecoveredTornTail, TailFault};
 pub use snapshot::{inspect, SnapError, SnapInfo, Snapshot, SnapshotPath};
 pub use store::{
-    BootFallback, BootOutcome, CommitOutcome, CompactReport, DictStore, StoreError,
+    BootFallback, BootOutcome, CommitOutcome, CompactReport, DictStore, StageOp, StoreError,
     DEFAULT_REBUILD_THRESHOLD,
 };

@@ -33,7 +33,7 @@
 //! boots by rebuilding from its log.
 
 use pdm_core::allmatches::{pattern_chains, PatternChains};
-use pdm_core::dynamic::DynamicMatcher;
+use pdm_core::dynamic::{DynamicMatcher, FreezeRoute};
 use pdm_core::static1d::frozen_serial::LoadError;
 use pdm_core::{BuildError, PatId, Prefilter, StaticMatcher, Sym, TextScratch};
 use pdm_pram::Ctx;
@@ -145,27 +145,30 @@ impl Snapshot {
 
     /// The incremental-path snapshot: freeze the live dictionary of the
     /// store's dynamic matcher into the static read form
-    /// ([`DynamicMatcher::freeze`]) and attach the prefilter analyzed from
+    /// ([`DynamicMatcher::freeze`], which patches the frozen copy it
+    /// published two freezes ago) and attach the prefilter analyzed from
     /// `patterns`. `native[i]` is the dynamic matcher's id for canonical
-    /// pattern `i`.
+    /// pattern `i`. Also returns how the frozen tables were produced
+    /// (`None` for an empty epoch, which freezes nothing).
     pub fn freeze_dynamic(
         epoch: u64,
-        d: &DynamicMatcher,
+        d: &mut DynamicMatcher,
         patterns: Vec<Vec<Sym>>,
         native: &[PatId],
-    ) -> Self {
+    ) -> (Self, Option<FreezeRoute>) {
         debug_assert_eq!(patterns.len(), native.len());
         if patterns.is_empty() {
-            return Self::build_empty(epoch);
+            return (Self::build_empty(epoch), None);
         }
-        let mut m = d.freeze(native);
+        let (mut m, route) = d.freeze(native);
         m.set_prefilter(Some(Prefilter::analyze(&patterns)));
-        Snapshot {
+        let snap = Snapshot {
             epoch,
             patterns: Some(patterns),
             matcher: Some(Arc::new(m)),
             path: SnapshotPath::Incremental,
-        }
+        };
+        (snap, Some(route))
     }
 
     /// An empty epoch (no patterns; matches nothing).
@@ -490,7 +493,7 @@ mod tests {
             .iter()
             .map(|p| d.insert(&ctx, p).unwrap())
             .collect();
-        let dsnap = Snapshot::freeze_dynamic(1, &d, patterns, &native);
+        let (dsnap, _) = Snapshot::freeze_dynamic(1, &mut d, patterns, &native);
         let text = to_symbols("ushershishe");
         assert_eq!(s.find_all(&ctx, &text), dsnap.find_all(&ctx, &text));
         assert_eq!((s.epoch(), s.patterns()), (dsnap.epoch(), dsnap.patterns()));
@@ -511,7 +514,7 @@ mod tests {
         }
         native.reverse();
         let patterns = pats();
-        let frozen = Snapshot::freeze_dynamic(4, &d, patterns.clone(), &native);
+        let (frozen, _) = Snapshot::freeze_dynamic(4, &mut d, patterns.clone(), &native);
         let built = Snapshot::build_static(&ctx, 4, patterns).unwrap();
         let m = frozen.matcher().unwrap();
         assert!(m.prefilter().is_some());

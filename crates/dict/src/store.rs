@@ -3,10 +3,13 @@
 //!
 //! A [`DictStore`] owns three things:
 //!
-//! 1. the **log** (`log.rs`) — every staged add/remove is appended before
-//!    it is acknowledged, every commit seals an epoch, so a killed server
-//!    replays back to exactly its committed dictionary plus the staged
-//!    tail;
+//! 1. the **log** (`log.rs`) — every staged add/remove is appended and
+//!    synced before it is acknowledged (a batch of them with one sync,
+//!    [`DictStore::stage_batch`]), every commit seals an epoch, so a killed
+//!    server replays back to exactly its committed dictionary plus the
+//!    staged tail. A failed append or sync poisons the store until it is
+//!    reopened ([`StoreError::Poisoned`]), so its memory never runs ahead
+//!    of what is durable;
 //! 2. the **canonical state** — live patterns in first-commit order (the
 //!    canonical id space every [`Snapshot`] shares), plus a master
 //!    [`DynamicMatcher`] mirroring the committed set through the paper's
@@ -14,7 +17,9 @@
 //! 3. the **rebuild policy** — a commit whose pending-update ratio stays
 //!    under the threshold applies the batch to the dynamic matcher
 //!    (Theorems 7–10: `O(λ)` table work per pattern) and freezes its live
-//!    tables into the static read form (`O(M)` copying, no naming rounds);
+//!    tables into the static read form by patching the frozen copy it
+//!    published two commits ago (work in the changed entries, no naming
+//!    rounds; [`DynamicMatcher::freeze`]);
 //!    past the threshold it rebuilds a `StaticMatcher` on the pool instead
 //!    (Theorem 3), which is cheaper than many incremental steps once the
 //!    batch is a sizable fraction of the dictionary. Both paths publish the
@@ -32,7 +37,7 @@
 
 use crate::log::{LogError, LogFile, Record, RecoveredTornTail};
 use crate::snapshot::{Snapshot, SnapshotPath, SNAP_VERSION};
-use pdm_core::dynamic::{DynError, DynamicMatcher};
+use pdm_core::dynamic::{DynError, DynamicMatcher, FreezeRoute};
 use pdm_core::{BuildError, PatId, Sym};
 use pdm_pram::Ctx;
 use pdm_primitives::{vfs, FxHashMap};
@@ -58,6 +63,11 @@ pub enum StoreError {
     Replay(String),
     Log(LogError),
     Build(BuildError),
+    /// A log append or sync failed (the message says how), so the log may
+    /// hold less than this store applied. The failing call and every later
+    /// stage, commit and compaction return this until the store is
+    /// reopened, which replays what is durable.
+    Poisoned(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -70,6 +80,9 @@ impl std::fmt::Display for StoreError {
             StoreError::Replay(m) => write!(f, "log replay: {m}"),
             StoreError::Log(e) => write!(f, "{e}"),
             StoreError::Build(e) => write!(f, "rebuild: {e}"),
+            StoreError::Poisoned(cause) => {
+                write!(f, "store refuses updates until reopened: {cause}")
+            }
         }
     }
 }
@@ -100,6 +113,20 @@ impl Op {
             Op::Add(p) | Op::Remove(p) => p.len(),
         }
     }
+
+    fn record(&self) -> Record {
+        match self {
+            Op::Add(p) => Record::Add(p.clone()),
+            Op::Remove(p) => Record::Remove(p.clone()),
+        }
+    }
+}
+
+/// One op of a staged batch ([`DictStore::stage_batch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageOp<'a> {
+    Add(&'a [Sym]),
+    Remove(&'a [Sym]),
 }
 
 /// What a commit did.
@@ -111,6 +138,10 @@ pub struct CommitOutcome {
     pub snapshot: Arc<Snapshot>,
     /// Which rebuild path ran.
     pub path: SnapshotPath,
+    /// How an incremental commit produced its frozen tables: patched in
+    /// place, patched on a copy, or re-frozen. `None` when nothing was
+    /// frozen (a full rebuild, or an empty epoch).
+    pub tables: Option<FreezeRoute>,
     /// Number of staged ops applied.
     pub applied: usize,
 }
@@ -202,6 +233,9 @@ pub struct DictStore {
     recovered_truncated: u64,
     /// Typed report of that drop (what was kept, what was torn, why).
     recovery: Option<RecoveredTornTail>,
+    /// Why a log append or sync failed, once one has: the store refuses
+    /// updates from then on ([`StoreError::Poisoned`]).
+    poisoned: Option<String>,
 }
 
 impl DictStore {
@@ -223,6 +257,7 @@ impl DictStore {
             seq: Ctx::seq(),
             recovered_truncated: 0,
             recovery: None,
+            poisoned: None,
         }
     }
 
@@ -319,38 +354,84 @@ impl DictStore {
     }
 
     /// Stage an add: validated against the post-commit view, appended to
-    /// the log, applied at the next [`DictStore::commit`].
+    /// the log and synced, applied at the next [`DictStore::commit`]. A
+    /// batch of one ([`Self::stage_batch`]).
     pub fn stage_add(&mut self, pattern: &[Sym]) -> Result<(), StoreError> {
-        if pattern.is_empty() {
-            return Err(StoreError::EmptyPattern);
-        }
-        if self.would_be_live(pattern) {
-            return Err(StoreError::AlreadyPresent);
-        }
-        if let Some(log) = &mut self.log {
-            log.append(&Record::Add(pattern.to_vec()))?;
-            log.sync()?;
-        }
-        self.restage(Op::Add(pattern.to_vec()))
-            .expect("validated above");
-        Ok(())
+        self.stage_one(StageOp::Add(pattern))
     }
 
     /// Stage a remove (same contract as [`DictStore::stage_add`]).
     pub fn stage_remove(&mut self, pattern: &[Sym]) -> Result<(), StoreError> {
-        if pattern.is_empty() {
-            return Err(StoreError::EmptyPattern);
+        self.stage_one(StageOp::Remove(pattern))
+    }
+
+    fn stage_one(&mut self, op: StageOp<'_>) -> Result<(), StoreError> {
+        self.stage_batch(&[op]).pop().expect("one result per op")
+    }
+
+    /// Stage a run of adds and removes with one log sync: each op is
+    /// validated exactly as staging them one by one would (against the
+    /// post-commit view, including the batch's earlier ops), the valid
+    /// ones are appended to the log, the log is synced once, and only then
+    /// are they staged. Returns one result per op, in order. If the append
+    /// or the sync fails, the store is poisoned and no op of the batch is
+    /// staged: the valid ones return [`StoreError::Poisoned`].
+    pub fn stage_batch(&mut self, ops: &[StageOp<'_>]) -> Vec<Result<(), StoreError>> {
+        if let Some(cause) = &self.poisoned {
+            return ops
+                .iter()
+                .map(|_| Err(StoreError::Poisoned(cause.clone())))
+                .collect();
         }
-        if !self.would_be_live(pattern) {
-            return Err(StoreError::NotFound);
+        let mut view: FxHashMap<&[Sym], bool> = FxHashMap::default();
+        let mut valid = Vec::with_capacity(ops.len());
+        let mut results: Vec<Result<(), StoreError>> = ops
+            .iter()
+            .map(|&op| {
+                let (pattern, add) = match op {
+                    StageOp::Add(p) => (p, true),
+                    StageOp::Remove(p) => (p, false),
+                };
+                if pattern.is_empty() {
+                    return Err(StoreError::EmptyPattern);
+                }
+                let live = match view.get(pattern) {
+                    Some(&live) => live,
+                    None => self.would_be_live(pattern),
+                };
+                match (add, live) {
+                    (true, true) => return Err(StoreError::AlreadyPresent),
+                    (false, false) => return Err(StoreError::NotFound),
+                    _ => {}
+                }
+                view.insert(pattern, add);
+                valid.push(if add {
+                    Op::Add(pattern.to_vec())
+                } else {
+                    Op::Remove(pattern.to_vec())
+                });
+                Ok(())
+            })
+            .collect();
+        if valid.is_empty() {
+            return results;
         }
-        if let Some(log) = &mut self.log {
-            log.append(&Record::Remove(pattern.to_vec()))?;
-            log.sync()?;
+        let written = self.log_write(|log| {
+            for op in &valid {
+                log.append(&op.record())?;
+            }
+            log.sync()
+        });
+        if let Err(cause) = written {
+            for r in results.iter_mut().filter(|r| r.is_ok()) {
+                *r = Err(StoreError::Poisoned(cause.clone()));
+            }
+            return results;
         }
-        self.restage(Op::Remove(pattern.to_vec()))
-            .expect("validated above");
-        Ok(())
+        for op in valid {
+            self.restage(op).expect("validated above");
+        }
+        results
     }
 
     /// Commit every staged op as a new epoch; the rebuild path is chosen
@@ -366,6 +447,7 @@ impl DictStore {
         ctx: &Ctx,
         force: Option<SnapshotPath>,
     ) -> Result<CommitOutcome, StoreError> {
+        self.check_poisoned()?;
         if self.staged.is_empty() {
             return Err(StoreError::NothingStaged);
         }
@@ -379,32 +461,44 @@ impl DictStore {
         } else {
             SnapshotPath::Incremental
         });
+        // Seal the epoch in the log before applying anything: a failed
+        // append or sync leaves this store at the epoch it serves.
+        let epoch = self.epoch + 1;
+        self.log_write(|log| {
+            log.append(&Record::Commit(epoch))?;
+            log.sync()
+        })
+        .map_err(StoreError::Poisoned)?;
+        if path == SnapshotPath::FullRebuild {
+            // No freeze reads the frozen copies or their change logs until
+            // the next incremental commit, which re-freezes anyway.
+            self.dynm.drop_frozen();
+        }
         let ops = std::mem::take(&mut self.staged);
         self.staged_view.clear();
         let applied = ops.len();
         for op in ops {
             // Staging validated against the post-commit view, so ops can
-            // only fail here if the log was tampered with between runs.
-            match op {
-                Op::Add(p) => self
-                    .apply_add(p)
-                    .map_err(|e| StoreError::Replay(format!("staged add: {e}")))?,
-                Op::Remove(p) => {
-                    self.apply_remove(&p)
-                        .map_err(|e| StoreError::Replay(format!("staged remove: {e}")))?;
-                }
+            // only fail here if the log was tampered with between runs —
+            // and the log already seals them, so memory would disagree
+            // with it: poison.
+            let (what, res) = match op {
+                Op::Add(p) => ("add", self.apply_add(p)),
+                Op::Remove(p) => ("remove", self.apply_remove(&p)),
+            };
+            if let Err(e) = res {
+                let e = StoreError::Replay(format!("staged {what}: {e}"));
+                self.poisoned = Some(e.to_string());
+                return Err(e);
             }
         }
-        self.epoch += 1;
-        if let Some(log) = &mut self.log {
-            log.append(&Record::Commit(self.epoch))?;
-            log.sync()?;
-        }
-        let snapshot = Arc::new(self.build_snapshot(ctx, path)?);
+        self.epoch = epoch;
+        let (snapshot, tables) = self.build_snapshot(ctx, path)?;
         Ok(CommitOutcome {
-            epoch: self.epoch,
-            snapshot,
+            epoch,
+            snapshot: Arc::new(snapshot),
             path,
+            tables,
             applied,
         })
     }
@@ -419,7 +513,7 @@ impl DictStore {
         } else {
             SnapshotPath::FullRebuild
         };
-        Ok(Arc::new(self.build_snapshot(ctx, path)?))
+        Ok(Arc::new(self.build_snapshot(ctx, path)?.0))
     }
 
     /// First snapshot at serve start, preferring the `<log>.snap` sidecar:
@@ -462,6 +556,7 @@ impl DictStore {
     /// the rebuild entirely. Canonical slots are densified so the
     /// rewritten log replays to this exact state.
     pub fn compact(&mut self, ctx: &Ctx) -> Result<CompactReport, StoreError> {
+        self.check_poisoned()?;
         // Densify tombstoned slots; canonical order (live order) unchanged.
         let mut slots = Vec::with_capacity(self.index.len());
         let mut native = Vec::with_capacity(self.index.len());
@@ -483,31 +578,12 @@ impl DictStore {
         let Some(path) = self.path.clone() else {
             return Ok(report); // in-memory: densify only
         };
-        // Rewrite into a temp file, fsync, rename over the live log.
-        let tmp = path.with_extension("log.tmp");
-        {
-            let mut log = LogFile::create(&tmp)?;
-            for p in self.slots.iter().flatten() {
-                log.append(&Record::Add(p.clone()))?;
-            }
-            log.append(&Record::Commit(self.epoch))?;
-            for op in &self.staged {
-                let rec = match op {
-                    Op::Add(p) => Record::Add(p.clone()),
-                    Op::Remove(p) => Record::Remove(p.clone()),
-                };
-                log.append(&rec)?;
-            }
-            log.sync()?;
+        // A failed rewrite may leave no log open at all: poison, so no
+        // later stage or commit goes unlogged.
+        if let Err(e) = self.rewrite_log(&path) {
+            self.poisoned = Some(e.to_string());
+            return Err(StoreError::Poisoned(e.to_string()));
         }
-        self.log = None; // close before replacing (Windows-friendly habit)
-        vfs::rename(&tmp, &path).map_err(LogError::Io)?;
-        // The rename is only durable once the parent directory's entry is
-        // on disk too — without this fsync a crash can resurrect the old
-        // (pre-compaction) log or, worse, lose the name entirely.
-        vfs::sync_parent_dir(&path).map_err(LogError::Io)?;
-        let (log, _) = LogFile::open(&path)?;
-        self.log = Some(log);
         // Emit the loadable v2 snapshot beside the log (an empty
         // dictionary's has no matcher sections). A fresh build rather than
         // the current epoch, so the bytes are a function of the pattern set
@@ -521,6 +597,57 @@ impl DictStore {
     }
 
     // ---- internals ---------------------------------------------------------
+
+    /// Rewrite the log at `path` into a temp file, fsync, rename over the
+    /// live log, and reopen it.
+    fn rewrite_log(&mut self, path: &Path) -> Result<(), LogError> {
+        let tmp = path.with_extension("log.tmp");
+        {
+            let mut log = LogFile::create(&tmp)?;
+            for p in self.slots.iter().flatten() {
+                log.append(&Record::Add(p.clone()))?;
+            }
+            log.append(&Record::Commit(self.epoch))?;
+            for op in &self.staged {
+                log.append(&op.record())?;
+            }
+            log.sync()?;
+        }
+        self.log = None; // close before replacing (Windows-friendly habit)
+        vfs::rename(&tmp, path).map_err(LogError::Io)?;
+        // The rename is only durable once the parent directory's entry is
+        // on disk too — without this fsync a crash can resurrect the old
+        // (pre-compaction) log or, worse, lose the name entirely.
+        vfs::sync_parent_dir(path).map_err(LogError::Io)?;
+        let (log, _) = LogFile::open(path)?;
+        self.log = Some(log);
+        Ok(())
+    }
+
+    fn check_poisoned(&self) -> Result<(), StoreError> {
+        match &self.poisoned {
+            Some(cause) => Err(StoreError::Poisoned(cause.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Append and sync through `write` (nothing for an in-memory store).
+    /// A failure poisons the store, and its message is returned as the
+    /// cause: the log may now hold a prefix of what was written, which
+    /// only a reopen reconciles.
+    fn log_write(
+        &mut self,
+        write: impl FnOnce(&mut LogFile) -> Result<(), LogError>,
+    ) -> Result<(), String> {
+        if let Some(log) = &mut self.log {
+            if let Err(e) = write(log) {
+                let cause = e.to_string();
+                self.poisoned = Some(cause.clone());
+                return Err(cause);
+            }
+        }
+        Ok(())
+    }
 
     fn restage(&mut self, op: Op) -> Result<(), StoreError> {
         let (pattern, live) = match &op {
@@ -587,11 +714,17 @@ impl DictStore {
         Ok(())
     }
 
-    fn build_snapshot(&self, ctx: &Ctx, path: SnapshotPath) -> Result<Snapshot, StoreError> {
+    /// The snapshot of the committed dictionary on `path`, and how its
+    /// frozen tables were produced when it froze the dynamic matcher.
+    fn build_snapshot(
+        &mut self,
+        ctx: &Ctx,
+        path: SnapshotPath,
+    ) -> Result<(Snapshot, Option<FreezeRoute>), StoreError> {
         let patterns = self.live_patterns();
         Ok(match path {
             SnapshotPath::FullRebuild | SnapshotPath::ColdLoaded => {
-                Snapshot::build_static(ctx, self.epoch, patterns)?
+                (Snapshot::build_static(ctx, self.epoch, patterns)?, None)
             }
             SnapshotPath::Incremental => {
                 debug_assert!(self.hydrated, "incremental snapshot of unhydrated store");
@@ -602,7 +735,7 @@ impl DictStore {
                     .filter(|(s, _)| s.is_some())
                     .map(|(_, n)| n.expect("hydrated live slot has a native id"))
                     .collect();
-                Snapshot::freeze_dynamic(self.epoch, &self.dynm, patterns, &native)
+                Snapshot::freeze_dynamic(self.epoch, &mut self.dynm, patterns, &native)
             }
         })
     }

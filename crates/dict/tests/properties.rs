@@ -10,23 +10,27 @@
 //!    from-scratch `StaticMatcher` on every committed epoch.
 //! 3. Frozen epochs over byte alphabets with the SWAR prefilter active:
 //!    every epoch of a random add/remove/commit script — through
-//!    delete-to-empty, re-adds, removal of the longest pattern and the §6
-//!    squeeze-out rebuild — reports exactly Aho–Corasick's matches and a
-//!    fresh `build_static`'s, with the same canonical ids, at pool widths
-//!    1, 2 and 4, and an incremental epoch's sidecar bytes load back to
-//!    the same matches.
+//!    delete-to-empty, re-adds, removal of the longest pattern (a `K`
+//!    change), the §6 squeeze-out rebuild, forced full rebuilds and runs
+//!    of incremental commits that patch the frozen tables, some while an
+//!    earlier epoch is still held — reports exactly Aho–Corasick's matches
+//!    and a fresh `build_static`'s, with the same canonical ids, at pool
+//!    widths 1, 2 and 4; every frozen table is a valid raw table of the
+//!    right size; a held epoch answers as it did when published; and an
+//!    incremental epoch's sidecar bytes load back to the same matches.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use pdm_baselines::AhoCorasick;
 use pdm_core::dict::{PatId, Sym};
-use pdm_core::dynamic::{DynError, DynamicMatcher};
+use pdm_core::dynamic::{DynError, DynamicMatcher, FreezeRoute};
 use pdm_core::prefilter::PREFILTER_MIN_TEXT;
 use pdm_core::static1d::StaticMatcher;
 use pdm_core::PrefilterDecision;
-use pdm_dict::{DictStore, Snapshot, SnapshotPath};
+use pdm_dict::{CommitOutcome, DictStore, Snapshot, SnapshotPath};
 use pdm_pram::Ctx;
+use pdm_primitives::FrozenPairTable;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -200,10 +204,24 @@ fn alert_text(pool: &[Vec<Sym>], segments: &[(usize, Vec<u8>)]) -> Vec<Sym> {
 /// One committed epoch against both oracles: Aho–Corasick over the model's
 /// live list (whose positions are the canonical ids) and a fresh
 /// `build_static`, at every pool width; the frozen form's `m`, `K` and
-/// prefilter decision equal the fresh build's; an incremental epoch's
-/// sidecar bytes load back to the same matches.
+/// prefilter decision equal the fresh build's; every frozen table passes
+/// `from_raw_parts` with the slot count its entries call for; an
+/// incremental epoch's sidecar bytes load back to the same matches.
 fn check_epoch(snap: &Snapshot, live: &[Vec<Sym>], text: &[Sym]) -> Result<(), TestCaseError> {
     prop_assert_eq!(snap.patterns(), Some(live));
+    if let Some(m) = snap.matcher() {
+        let read = &m.tables().read;
+        for t in std::iter::once(&read.sym)
+            .chain(&read.pair)
+            .chain(&read.ext)
+        {
+            let raw = t.raw();
+            let back =
+                FrozenPairTable::from_raw_parts(raw.keys().into(), raw.vals().into(), raw.len());
+            prop_assert!(back.is_ok(), "{:?}", back.err());
+            prop_assert_eq!(raw.slots_len(), FrozenPairTable::slots_for(raw.len()));
+        }
+    }
     let mut want: Vec<(usize, PatId)> = AhoCorasick::new(live)
         .find_all(text)
         .into_iter()
@@ -229,14 +247,99 @@ fn check_epoch(snap: &Snapshot, live: &[Vec<Sym>], text: &[Sym]) -> Result<(), T
     Ok(())
 }
 
+/// A store driven by a script, with its model: the canonical live list,
+/// the ops staged since the last commit, and epochs held past their
+/// publication (each with its live list and the commits since).
+struct Script<'a> {
+    store: DictStore,
+    live: Vec<Vec<Sym>>,
+    staged: Vec<(bool, Vec<Sym>)>,
+    held: Vec<(Arc<Snapshot>, Vec<Vec<Sym>>, usize)>,
+    text: &'a [Sym],
+}
+
+impl<'a> Script<'a> {
+    fn new(text: &'a [Sym]) -> Self {
+        Script {
+            store: DictStore::in_memory(),
+            live: Vec::new(),
+            staged: Vec::new(),
+            held: Vec::new(),
+            text,
+        }
+    }
+
+    fn add(&mut self, p: &[Sym]) {
+        if self.store.stage_add(p).is_ok() {
+            self.staged.push((true, p.to_vec()));
+        }
+    }
+
+    fn remove(&mut self, p: &[Sym]) {
+        if self.store.stage_remove(p).is_ok() {
+            self.staged.push((false, p.to_vec()));
+        }
+    }
+
+    fn toggle(&mut self, p: &[Sym]) {
+        if self.store.would_be_live(p) {
+            self.remove(p)
+        } else {
+            self.add(p)
+        }
+    }
+
+    /// Commit what is staged (if anything) on `force`, check the epoch,
+    /// and re-check every held epoch: one held across two commits — the
+    /// second patches the very copy it serves from — still answers as its
+    /// own epoch did, and is then released.
+    fn commit(
+        &mut self,
+        force: Option<SnapshotPath>,
+    ) -> Result<Option<CommitOutcome>, TestCaseError> {
+        if self.staged.is_empty() {
+            return Ok(None);
+        }
+        let out = self.store.commit_with(&Ctx::seq(), force).unwrap();
+        for (add, p) in self.staged.drain(..) {
+            if add {
+                self.live.push(p);
+            } else {
+                self.live.retain(|q| *q != p);
+            }
+        }
+        prop_assert_eq!(
+            out.tables.is_some(),
+            out.path == SnapshotPath::Incremental && !self.live.is_empty()
+        );
+        check_epoch(&out.snapshot, &self.live, self.text)?;
+        for (snap, live, since) in &mut self.held {
+            *since += 1;
+            check_epoch(snap, live, self.text)?;
+        }
+        self.held.retain(|h| h.2 < 2);
+        Ok(Some(out))
+    }
+
+    fn hold(&mut self, out: &CommitOutcome) {
+        self.held
+            .push((Arc::clone(&out.snapshot), self.live.clone(), 0));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Ops: 0–4 stage an add, 5–6 a remove, 7 removes the longest pattern
     /// live after the staged ops, 8 removes every one of them, 9–10
     /// commit through the incremental path, 11 commits under the default
-    /// policy. Whole-dictionary removals shrink the live size below half
-    /// of what was inserted, so the §6 squeeze-out rebuild runs too.
+    /// policy, 12 commits and holds the epoch across the next two commits,
+    /// 13 forces a full rebuild. Whole-dictionary removals shrink the live
+    /// size below half of what was inserted, so the §6 squeeze-out rebuild
+    /// runs too. A fixed coda follows: three incremental commits in a row
+    /// (the first held; the longest pattern toggled out and back, so `K`
+    /// changes twice), a removal of all but one pattern (squeeze-out), a
+    /// re-add, a forced full rebuild and three more incremental commits.
     #[test]
     fn frozen_epochs_equal_aho_corasick_and_static_builds(
         long in (b'A'..=b'F', proptest::collection::vec(b'a'..=b'e', 16..24)),
@@ -244,57 +347,75 @@ proptest! {
             (b'A'..=b'F', proptest::collection::vec(b'a'..=b'e', 0..10)), 3..12),
         segments in proptest::collection::vec(
             (0usize..16, proptest::collection::vec(b'a'..=b'h', 0..12)), 4..40),
-        ops in proptest::collection::vec((0u8..12, 0usize..16), 1..60),
+        ops in proptest::collection::vec((0u8..14, 0usize..16), 1..60),
     ) {
         let pool = alert_pool(long, raw_pool);
         let text = alert_text(&pool, &segments);
-        let ctx = Ctx::seq();
-        let mut store = DictStore::in_memory();
-        let mut live: Vec<Vec<Sym>> = Vec::new();
-        let mut staged: Vec<(bool, Vec<Sym>)> = Vec::new();
+        let mut s = Script::new(&text);
         let live_after = |store: &DictStore| -> Vec<Vec<Sym>> {
             pool.iter().filter(|p| store.would_be_live(p)).cloned().collect()
         };
-        let last = ops.len();
-        for (step, &(op, i)) in ops.iter().enumerate() {
+        let inc = Some(SnapshotPath::Incremental);
+        for &(op, i) in &ops {
             let p = &pool[i % pool.len()];
             match op {
-                0..=4 if store.stage_add(p).is_ok() => staged.push((true, p.clone())),
-                5..=6 if store.stage_remove(p).is_ok() => staged.push((false, p.clone())),
+                0..=4 => s.add(p),
+                5..=6 => s.remove(p),
                 7 => {
-                    if let Some(p) = live_after(&store).into_iter().max_by_key(Vec::len) {
-                        store.stage_remove(&p).unwrap();
-                        staged.push((false, p));
+                    if let Some(p) = live_after(&s.store).into_iter().max_by_key(Vec::len) {
+                        s.remove(&p);
                     }
                 }
-                8 => {
-                    for p in live_after(&store) {
-                        store.stage_remove(&p).unwrap();
-                        staged.push((false, p));
+                8 => live_after(&s.store).iter().for_each(|p| s.remove(p)),
+                9 | 10 => {
+                    s.commit(inc)?;
+                }
+                11 => {
+                    s.commit(None)?;
+                }
+                12 => {
+                    if let Some(out) = s.commit(inc)? {
+                        s.hold(&out);
                     }
                 }
-                _ => {}
+                _ => {
+                    s.commit(Some(SnapshotPath::FullRebuild))?;
+                }
             }
-            if (op >= 9 || step + 1 == last) && !staged.is_empty() {
-                let force = (op != 11).then_some(SnapshotPath::Incremental);
-                let out = store.commit_with(&ctx, force).unwrap();
-                for (add, p) in staged.drain(..) {
-                    if add {
-                        live.push(p);
-                    } else {
-                        live.retain(|q| *q != p);
-                    }
-                }
-                check_epoch(&out.snapshot, &live, &text)?;
-            }
+        }
+        s.commit(inc)?;
+        let at = |k: usize| &pool[k % pool.len()];
+        s.toggle(at(1));
+        if let Some(out) = s.commit(inc)? {
+            s.hold(&out);
+        }
+        for _ in 0..2 {
+            s.toggle(at(0));
+            s.commit(inc)?;
+        }
+        let keep = at(2).clone();
+        for p in live_after(&s.store).iter().filter(|p| **p != keep) {
+            s.remove(p);
+        }
+        s.commit(inc)?;
+        pool.iter().for_each(|p| s.add(p));
+        s.commit(inc)?;
+        s.toggle(at(1));
+        s.commit(Some(SnapshotPath::FullRebuild))?;
+        for k in [2, 3, 1] {
+            s.toggle(at(k));
+            s.commit(inc)?;
         }
     }
 }
 
 /// A fixed walk through the edge cases of the property above, with the
 /// facts it can only hope to hit asserted outright: incremental epochs run
-/// the prefilter's scan, the squeeze-out rebuild fires, removing the
-/// longest pattern lowers `m` and `K`, and an empty epoch re-fills.
+/// the prefilter's scan; steady-state commits with no epoch held patch the
+/// frozen tables in place, and one that finds its copy still held patches
+/// a copy, leaving the held epoch's answers alone; removing the longest
+/// pattern lowers `m` and `K`; the squeeze-out rebuild re-freezes; and an
+/// empty epoch re-fills.
 #[test]
 fn frozen_epochs_scan_with_the_prefilter_through_squeeze_out() {
     let ctx = Ctx::seq();
@@ -313,12 +434,22 @@ fn frozen_epochs_scan_with_the_prefilter_through_squeeze_out() {
         let at = 97 + 150 * k;
         text[at..at + p.len()].copy_from_slice(p);
     }
-    let epoch = |store: &mut DictStore, live: &[Vec<Sym>]| {
+    let commit = |store: &mut DictStore, live: &[Vec<Sym>]| {
         let out = store
             .commit_with(&ctx, Some(SnapshotPath::Incremental))
             .unwrap();
         check_epoch(&out.snapshot, live, &text).unwrap();
-        out.snapshot
+        out
+    };
+    let epoch = |store: &mut DictStore, live: &[Vec<Sym>]| commit(store, live).snapshot;
+    // Remove `p` and add it back in one commit: no table changes size, so
+    // no table needs re-freezing.
+    let cycle = |store: &mut DictStore, live: &mut Vec<Vec<Sym>>, p: &Vec<Sym>| {
+        store.stage_remove(p).unwrap();
+        store.stage_add(p).unwrap();
+        live.retain(|q| q != p);
+        live.push(p.clone());
+        commit(store, live)
     };
 
     let mut store = DictStore::in_memory();
@@ -327,8 +458,9 @@ fn frozen_epochs_scan_with_the_prefilter_through_squeeze_out() {
     for p in &live {
         store.stage_add(p).unwrap();
     }
-    let snap = epoch(&mut store, &live);
-    let m = snap.matcher().unwrap();
+    let out = commit(&mut store, &live);
+    assert_eq!(out.tables, Some(FreezeRoute::Refrozen), "first freeze");
+    let m = out.snapshot.matcher().unwrap();
     assert_eq!(m.tables().levels, 6, "m = 41");
     assert!(
         matches!(
@@ -339,21 +471,54 @@ fn frozen_epochs_scan_with_the_prefilter_through_squeeze_out() {
         m.prefilter_decision()
     );
     assert!(m.stats().prefilter_counters.scans > 0, "the scan ran");
+    drop(out);
+
+    // Steady state with no epoch held. The second freeze patches a clone
+    // of the first copy (no second copy exists yet), so it copies; tables
+    // it had nothing to patch still share their arrays with the first
+    // copy, so the third may copy those once. From then on every commit
+    // patches in place the copy published two commits before, which
+    // nothing holds any more.
+    let routes: Vec<_> = (0..6)
+        .map(|k| cycle(&mut store, &mut live, &alerts[k]).tables)
+        .collect();
+    assert_eq!(routes[0], Some(FreezeRoute::Copied));
+    assert!(
+        routes[2..].iter().all(|r| *r == Some(FreezeRoute::InPlace)),
+        "{routes:?}"
+    );
+    // Hold an epoch across two commits: the second finds its copy shared
+    // and patches a copy of it; the held epoch keeps its own answers.
+    let held = cycle(&mut store, &mut live, &alerts[6]);
+    assert_eq!(held.tables, Some(FreezeRoute::InPlace));
+    let held_live = live.clone();
+    let next = cycle(&mut store, &mut live, &alerts[7]).tables;
+    assert_eq!(next, Some(FreezeRoute::InPlace));
+    let next = cycle(&mut store, &mut live, &alerts[8]).tables;
+    assert_eq!(next, Some(FreezeRoute::Copied));
+    check_epoch(&held.snapshot, &held_live, &text).unwrap();
+    drop(held);
+    let next = cycle(&mut store, &mut live, &alerts[9]).tables;
+    assert_eq!(next, Some(FreezeRoute::InPlace));
 
     // Removing the longest pattern shrinks m from 41 to 11 (K 6 → 4).
     store.stage_remove(&longest).unwrap();
-    live.pop();
+    live.retain(|q| *q != longest);
     let snap = epoch(&mut store, &live);
     assert_eq!(snap.max_pattern_len(), 11);
     assert_eq!(snap.matcher().unwrap().tables().levels, 4);
 
     // Remove 20 of 24: live symbols fall below half of those inserted
-    // since the last rebuild, so the dynamic matcher squeezes out.
-    for p in alerts.iter().take(20) {
+    // since the last rebuild, so the dynamic matcher squeezes out and
+    // every table is re-frozen.
+    let gone: Vec<Vec<Sym>> = live.drain(..20).collect();
+    for p in &gone {
         store.stage_remove(p).unwrap();
     }
-    live.drain(..20);
-    epoch(&mut store, &live);
+    assert_eq!(
+        commit(&mut store, &live).tables,
+        Some(FreezeRoute::Refrozen)
+    );
 
     // Delete to empty, then re-add (fresh native ids, new canonical slots).
     for p in &live {

@@ -244,6 +244,18 @@ impl FrozenNameTable {
         self.table.is_empty()
     }
 
+    /// Number of slots (see [`FrozenPairTable::slots_for`]).
+    pub fn slots_len(&self) -> usize {
+        self.table.slots_len()
+    }
+
+    /// Apply final key states copy-on-write (see
+    /// [`FrozenPairTable::patch`]); returns whether the slot arrays were
+    /// copied because a clone still shared them.
+    pub fn patch(&mut self, changes: &[(u32, u32, Option<u32>)]) -> bool {
+        self.table.patch(changes)
+    }
+
     /// The underlying frozen pair table — raw slot-array access for
     /// serializers that dump the table without rehashing.
     pub fn raw(&self) -> &FrozenPairTable {

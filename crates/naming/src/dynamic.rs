@@ -24,10 +24,25 @@ use std::sync::Arc;
 /// dictionary. Single-writer (the dictionary owner); matching only reads.
 /// Cloning copies the map but shares the pool, so a clone can keep
 /// allocating names without colliding with the original.
+///
+/// While frozen copies of the table exist, the table also logs the packed
+/// keys whose entry it creates or removes, over the last two spans between
+/// marks ([`Self::mark_log`], [`Self::logged`]): all a patch of the copy
+/// frozen at the mark before last needs to know. Reference count changes
+/// leave an entry's name alone, so they are not logged.
 #[derive(Debug, Clone)]
 pub struct DynTable {
     map: PairMap,
     pool: Arc<NamePool>,
+    log: Option<ChangeLog>,
+}
+
+/// Keys logged since the mark before last; `keys[mark..]` came after the
+/// last mark.
+#[derive(Debug, Clone, Default)]
+struct ChangeLog {
+    keys: Vec<u64>,
+    mark: usize,
 }
 
 impl DynTable {
@@ -35,6 +50,34 @@ impl DynTable {
         Self {
             map: PairMap::new(),
             pool,
+            log: None,
+        }
+    }
+
+    /// Mark the log, starting it if the table was not logging: keys logged
+    /// before the previous mark are dropped, so [`Self::logged`] returns
+    /// the keys changed since that previous mark.
+    pub fn mark_log(&mut self) {
+        let log = self.log.get_or_insert_with(ChangeLog::default);
+        log.keys.drain(..log.mark);
+        log.mark = log.keys.len();
+    }
+
+    /// Stop logging and drop what was logged.
+    pub fn stop_log(&mut self) {
+        self.log = None;
+    }
+
+    /// Keys created or removed since the mark before last (each at most a
+    /// few times, in no useful order); empty when not logging.
+    pub fn logged(&self) -> &[u64] {
+        self.log.as_ref().map_or(&[], |l| &l.keys)
+    }
+
+    #[inline]
+    fn log_if(&mut self, changed: bool, a: u32, b: u32) {
+        if let (true, Some(log)) = (changed, &mut self.log) {
+            log.keys.push(pdm_primitives::table::pack(a, b));
         }
     }
 
@@ -42,7 +85,10 @@ impl DynTable {
     /// reference count (one count per contributing pattern occurrence).
     #[inline]
     pub fn name_ref(&mut self, a: u32, b: u32) -> u32 {
-        self.map.get_or_insert_ref(a, b, || self.pool.fresh())
+        let len = self.map.len();
+        let name = self.map.get_or_insert_ref(a, b, || self.pool.fresh());
+        self.log_if(self.map.len() > len, a, b);
+        name
     }
 
     /// Read-only lookup (used by `match` operations).
@@ -56,8 +102,10 @@ impl DynTable {
     /// value, as in [`crate::arena::NameTable::insert_assoc`].
     #[inline]
     pub fn assoc_ref(&mut self, a: u32, b: u32, v: u32) -> u32 {
+        let len = self.map.len();
         let got = self.map.get_or_insert_ref(a, b, || v);
         debug_assert_eq!(got, v, "assoc_ref callers must agree on the value");
+        self.log_if(self.map.len() > len, a, b);
         got
     }
 
@@ -65,7 +113,9 @@ impl DynTable {
     /// Returns `true` if the entry was removed.
     #[inline]
     pub fn release(&mut self, a: u32, b: u32) -> bool {
-        self.map.release(a, b)
+        let removed = self.map.release(a, b);
+        self.log_if(removed, a, b);
+        removed
     }
 
     pub fn len(&self) -> usize {
@@ -175,6 +225,29 @@ mod tests {
         // Names need not be reused after full deletion; only consistency of
         // live entries matters.
         assert_ne!(n1, n2);
+    }
+
+    #[test]
+    fn dyn_table_logs_created_and_removed_keys_over_two_marks() {
+        use pdm_primitives::table::pack;
+        let mut t = DynTable::new(NamePool::dictionary());
+        t.name_ref(1, 2);
+        assert!(t.logged().is_empty(), "no frozen copy, no log");
+        t.mark_log();
+        t.name_ref(1, 2); // refcount only
+        t.name_ref(3, 4); // created
+        t.assoc_ref(5, 6, 77); // created
+        assert!(!t.release(1, 2)); // refcount only
+        assert!(t.release(3, 4)); // removed
+        assert_eq!(t.logged(), [pack(3, 4), pack(5, 6), pack(3, 4)]);
+        t.mark_log();
+        t.name_ref(7, 7);
+        assert_eq!(t.logged().len(), 4, "both spans since the first mark");
+        t.mark_log();
+        assert_eq!(t.logged(), [pack(7, 7)], "the span before dropped");
+        t.stop_log();
+        t.name_ref(8, 9);
+        assert!(t.logged().is_empty());
     }
 
     #[test]

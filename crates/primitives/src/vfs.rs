@@ -241,6 +241,8 @@ pub mod faults {
     pub struct DiskFaultCounts {
         /// Mutating ops counted (including any that were failed).
         pub ops: u64,
+        /// File and directory fsyncs among them.
+        pub syncs: u64,
         /// Injected failures of any kind that actually fired.
         pub injected: u64,
         /// Did the crash-stop trigger?
@@ -293,13 +295,11 @@ pub mod faults {
                 Ok(n)
             }
 
-            /// `every/max` schedule on a dedicated counter.
+            /// `every/max` schedule on a dedicated counter, which counts
+            /// every op of its kind whether or not a schedule is set.
             fn scheduled(&self, counter: &AtomicU64, every: u64, max: u64) -> bool {
-                if every == 0 {
-                    return false;
-                }
                 let n = counter.fetch_add(1, Ordering::SeqCst) + 1;
-                if !n.is_multiple_of(every) {
+                if every == 0 || !n.is_multiple_of(every) {
                     return false;
                 }
                 if max > 0 && n / every > max {
@@ -337,6 +337,7 @@ pub mod faults {
         pub fn counts() -> DiskFaultCounts {
             state().map_or(DiskFaultCounts::default(), |s| DiskFaultCounts {
                 ops: s.ops.load(Ordering::SeqCst),
+                syncs: s.syncs.load(Ordering::SeqCst),
                 injected: s.injected.load(Ordering::SeqCst),
                 crashed: s.crashed.load(Ordering::SeqCst),
             })

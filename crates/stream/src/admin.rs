@@ -3,15 +3,16 @@
 //!
 //! One [`DictAdmin`] is shared by every connection of a versioned server.
 //! Staging and committing serialize on the store mutex (updates are rare
-//! and cheap compared to matching); **publishing** the committed snapshot
-//! is a pointer swap on the epoch handle, so streaming sessions never
-//! block on a rebuild — they adopt the new epoch at their next chunk
-//! boundary.
+//! and cheap compared to matching); a run of stage frames is one store
+//! batch with one log sync. **Publishing** the committed snapshot is a
+//! pointer swap on the epoch handle, so streaming sessions never block on
+//! a rebuild — they adopt the new epoch at their next chunk boundary.
 
 use std::sync::{Arc, Mutex};
 
-use pdm_core::dict::Sym;
-use pdm_dict::{BootFallback, CommitOutcome, DictStore, EpochHandle, SnapshotPath, StoreError};
+use pdm_dict::{
+    BootFallback, CommitOutcome, DictStore, EpochHandle, SnapshotPath, StageOp, StoreError,
+};
 use pdm_pram::{CostModel, Ctx, ExecPolicy};
 
 use crate::metrics::GlobalMetrics;
@@ -65,18 +66,17 @@ impl DictAdmin {
         Arc::clone(&self.handle)
     }
 
-    /// Stage a pattern add; returns the current (unchanged) epoch.
-    pub fn add(&self, pattern: &[Sym]) -> Result<u64, StoreError> {
+    /// Stage a run of adds and removes as one store batch — one log sync
+    /// ([`DictStore::stage_batch`]). One result per op, in order; each
+    /// success carries the current (unchanged) epoch.
+    pub fn stage(&self, ops: &[StageOp<'_>]) -> Vec<Result<u64, StoreError>> {
         let mut store = self.store.lock().expect("admin store poisoned");
-        store.stage_add(pattern)?;
-        Ok(store.epoch())
-    }
-
-    /// Stage a pattern remove; returns the current (unchanged) epoch.
-    pub fn remove(&self, pattern: &[Sym]) -> Result<u64, StoreError> {
-        let mut store = self.store.lock().expect("admin store poisoned");
-        store.stage_remove(pattern)?;
-        Ok(store.epoch())
+        let epoch = store.epoch();
+        store
+            .stage_batch(ops)
+            .into_iter()
+            .map(|r| r.map(|()| epoch))
+            .collect()
     }
 
     /// Commit every staged op as a new epoch and publish it. Sessions pick
@@ -111,13 +111,17 @@ mod tests {
         DictAdmin::new(DictStore::in_memory(), ExecPolicy::Seq).unwrap()
     }
 
+    fn add(a: &DictAdmin, p: &str) -> Result<u64, StoreError> {
+        a.stage(&[StageOp::Add(&to_symbols(p))]).remove(0)
+    }
+
     #[test]
     fn commit_publishes_and_counts() {
         let a = admin();
         let g = GlobalMetrics::default();
         assert_eq!(a.handle().epoch(), 0);
-        a.add(&to_symbols("he")).unwrap();
-        a.add(&to_symbols("she")).unwrap();
+        add(&a, "he").unwrap();
+        add(&a, "she").unwrap();
         let out = a.commit(&g).unwrap();
         assert_eq!(out.epoch, 1);
         assert_eq!(a.handle().epoch(), 1, "commit published the snapshot");
@@ -127,6 +131,24 @@ mod tests {
         let info = a.info();
         assert_eq!((info.epoch, info.patterns, info.staged), (1, 2, 0));
         assert_eq!(info.max_pattern_len, 3);
+    }
+
+    #[test]
+    fn a_staged_batch_answers_each_op_in_order() {
+        let a = admin();
+        let (x, y) = (to_symbols("x"), to_symbols("y"));
+        let got = a.stage(&[
+            StageOp::Add(&x),
+            StageOp::Add(&y),
+            StageOp::Add(&x),
+            StageOp::Remove(&y),
+            StageOp::Remove(&y),
+        ]);
+        let ok: Vec<bool> = got.iter().map(Result::is_ok).collect();
+        assert_eq!(ok, [true, true, false, true, false]);
+        assert!(matches!(got[2], Err(StoreError::AlreadyPresent)));
+        assert!(matches!(got[4], Err(StoreError::NotFound)));
+        assert_eq!(a.info().staged, 3);
     }
 
     #[test]
@@ -163,9 +185,10 @@ mod tests {
     fn errors_do_not_poison_the_store() {
         let a = admin();
         let g = GlobalMetrics::default();
-        assert!(a.remove(&to_symbols("missing")).is_err());
+        let missing = to_symbols("missing");
+        assert!(a.stage(&[StageOp::Remove(&missing)])[0].is_err());
         assert!(a.commit(&g).is_err(), "nothing staged");
-        a.add(&to_symbols("ok")).unwrap();
+        add(&a, "ok").unwrap();
         assert!(a.commit(&g).is_ok());
         assert_eq!(a.info().patterns, 1);
     }

@@ -57,7 +57,8 @@ use crate::proto::{
     TAG_HELLO_ACK, TAG_MATCH, TAG_STATS, TAG_STATS_RESP, TAG_SUMMARY,
 };
 use crate::server::{
-    conn_error_message, handle_dict_frame, record_conn_error, shed, ConnRegistry, ServerConfig,
+    conn_error_message, handle_dict_frame, handle_stage_frames, record_conn_error, shed,
+    ConnRegistry, ServerConfig,
 };
 use crate::service::{Event, Session, SessionNotify, SessionOptions, ShardedService, TryPushError};
 use timer::TimerWheel;
@@ -244,9 +245,11 @@ impl ReactorPool {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ConnState {
-    /// No session yet: waiting for the first frame (or a clean EOF).
+    /// No frame yet: waiting for the first one (or a clean EOF).
     AwaitFirst,
-    /// Session open; decoding chunks and pumping events.
+    /// Decoding frames and pumping events. A `HELLO` session is open; a
+    /// plain one opens at the first `CHUNK` or `CLOSE` (or EOF), so a
+    /// connection sending only admin or stats frames pins no epoch.
     Streaming,
     /// Read side done, close marker queued (or pending); waiting for the
     /// terminal `Closed`/`Failed` event.
@@ -733,11 +736,21 @@ impl Reactor {
         Ok(())
     }
 
+    /// Decode and handle every complete frame. A run of consecutive
+    /// `DICT_ADD`/`DICT_REMOVE` frames is staged as one store batch, with
+    /// one log sync ([`Self::stage_run`]); the run is answered before any
+    /// other frame is handled and before returning, so replies keep frame
+    /// order.
     fn process_frames(&mut self, conn: &mut Conn) -> Result<(), ()> {
+        let mut run: Vec<(u8, Vec<u8>)> = Vec::new();
         while matches!(conn.state, ConnState::AwaitFirst | ConnState::Streaming)
             && !conn.backpressured()
         {
-            let (tag, payload) = match conn.decoder.next_frame() {
+            let frame = conn.decoder.next_frame();
+            if !matches!(frame, Ok(Some((TAG_DICT_ADD | TAG_DICT_REMOVE, _)))) {
+                self.stage_run(conn, &mut run);
+            }
+            let (tag, payload) = match frame {
                 Ok(Some(f)) => f,
                 Ok(None) => break,
                 Err(e) => return self.conn_error(conn, e),
@@ -750,6 +763,7 @@ impl Reactor {
                 // owns waits out the stall.
                 ConnFault::Stall(d) => std::thread::sleep(d),
                 ConnFault::Reset => {
+                    self.stage_run(conn, &mut run);
                     let _ = conn.sock.shutdown(Shutdown::Both);
                     return self.socket_failed(
                         conn,
@@ -779,17 +793,15 @@ impl Reactor {
                     queue_frame(conn, TAG_HELLO_ACK, &encode_hello_ack(max_pat));
                     continue;
                 }
-                // Plain (PR-1 protocol) session: this is the first regular
-                // frame; fall through and handle it below.
-                self.open_session(conn, SessionOptions::default());
+                // Plain protocol: this is the first regular frame; handle
+                // it below.
                 conn.state = ConnState::Streaming;
             }
             match tag {
+                TAG_DICT_ADD | TAG_DICT_REMOVE => run.push((tag, payload)),
                 TAG_CHUNK => {
                     let syms: Vec<u32> = payload.iter().map(|&b| b as u32).collect();
-                    let Some(sess) = conn.session.as_ref() else {
-                        return Err(());
-                    };
+                    let sess = self.plain_session(conn);
                     match sess.try_push(syms) {
                         Ok(()) => {}
                         Err(TryPushError::WouldBlock(d)) => conn.pending_chunk = Some(d),
@@ -804,15 +816,13 @@ impl Reactor {
                 TAG_CLOSE => {
                     conn.read_done = true;
                     conn.state = ConnState::Draining;
-                    if let Some(sess) = conn.session.as_mut() {
-                        if !sess.try_finish() {
-                            conn.pending_close = true;
-                        }
+                    if !self.plain_session(conn).try_finish() {
+                        conn.pending_close = true;
                     }
                 }
-                TAG_DICT_ADD | TAG_DICT_REMOVE | TAG_DICT_COMMIT | TAG_DICT_INFO => {
+                TAG_DICT_COMMIT | TAG_DICT_INFO => {
                     let (rtag, rpayload) =
-                        handle_dict_frame(self.admin.as_deref(), &self.global, tag, &payload);
+                        handle_dict_frame(self.admin.as_deref(), &self.global, tag);
                     queue_frame(conn, rtag, &rpayload);
                 }
                 TAG_STATS => {
@@ -838,7 +848,29 @@ impl Reactor {
                 }
             }
         }
+        self.stage_run(conn, &mut run);
         Ok(())
+    }
+
+    /// Stage a run of `DICT_ADD`/`DICT_REMOVE` frames as one store batch
+    /// and queue its replies, one per frame in frame order (no-op for an
+    /// empty run).
+    fn stage_run(&self, conn: &mut Conn, run: &mut Vec<(u8, Vec<u8>)>) {
+        if run.is_empty() {
+            return;
+        }
+        for (tag, payload) in handle_stage_frames(self.admin.as_deref(), run) {
+            queue_frame(conn, tag, &payload);
+        }
+        run.clear();
+    }
+
+    /// The connection's session, opening a plain one if none is open yet.
+    fn plain_session<'c>(&self, conn: &'c mut Conn) -> &'c mut Session {
+        if conn.session.is_none() {
+            self.open_session(conn, SessionOptions::default());
+        }
+        conn.session.as_mut().expect("session just opened")
     }
 
     fn handle_eof(&mut self, conn: &mut Conn) -> Result<(), ()> {
@@ -853,15 +885,11 @@ impl Reactor {
             return self.conn_error(conn, e);
         }
         // EOF at a frame boundary is a clean close; a connection that
-        // never sent a frame still opens (and summarizes) a session.
-        if conn.state == ConnState::AwaitFirst {
-            self.open_session(conn, SessionOptions::default());
-        }
+        // never opened a session (no frame, or only admin and stats
+        // frames) still opens and summarizes one.
         conn.state = ConnState::Draining;
-        if let Some(sess) = conn.session.as_mut() {
-            if !sess.try_finish() {
-                conn.pending_close = true;
-            }
+        if !self.plain_session(conn).try_finish() {
+            conn.pending_close = true;
         }
         Ok(())
     }

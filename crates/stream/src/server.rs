@@ -31,7 +31,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pdm_core::static1d::StaticMatcher;
-use pdm_dict::DictStore;
+use pdm_dict::{DictStore, StageOp, StoreError};
 
 use crate::admin::DictAdmin;
 use crate::proto::{
@@ -245,34 +245,63 @@ pub(crate) fn shed(sock: TcpStream) {
     let _ = sock.shutdown(Shutdown::Both);
 }
 
-/// Execute one `DICT_*` admin frame, returning the reply frame.
-pub(crate) fn handle_dict_frame(
-    admin: Option<&DictAdmin>,
-    global: &crate::metrics::GlobalMetrics,
-    tag: u8,
-    payload: &[u8],
-) -> (u8, Vec<u8>) {
-    let Some(admin) = admin else {
-        return (
-            TAG_DICT_ERR,
-            b"dictionary is static; start the server with a dict log to enable live updates"
-                .to_vec(),
-        );
-    };
-    let pattern: Vec<u32> = payload.iter().map(|&b| u32::from(b)).collect();
-    let result = match tag {
-        TAG_DICT_ADD => admin.add(&pattern),
-        TAG_DICT_REMOVE => admin.remove(&pattern),
-        TAG_DICT_COMMIT => admin.commit(global).map(|out| out.epoch),
-        TAG_DICT_INFO => {
-            return (TAG_DICT_INFO_RESP, encode_dict_info(&admin.info()).to_vec());
-        }
-        _ => unreachable!("caller matched a dict tag"),
-    };
+/// What a static server answers every `DICT_*` frame with.
+const STATIC_DICT: &[u8] =
+    b"dictionary is static; start the server with a dict log to enable live updates";
+
+/// The reply frame for one admin op's result.
+fn dict_reply(result: Result<u64, StoreError>) -> (u8, Vec<u8>) {
     match result {
         Ok(epoch) => (TAG_DICT_OK, epoch.to_le_bytes().to_vec()),
         Err(e) => (TAG_DICT_ERR, e.to_string().into_bytes()),
     }
+}
+
+/// Execute one `DICT_COMMIT` or `DICT_INFO` admin frame, returning the
+/// reply frame.
+pub(crate) fn handle_dict_frame(
+    admin: Option<&DictAdmin>,
+    global: &crate::metrics::GlobalMetrics,
+    tag: u8,
+) -> (u8, Vec<u8>) {
+    let Some(admin) = admin else {
+        return (TAG_DICT_ERR, STATIC_DICT.to_vec());
+    };
+    match tag {
+        TAG_DICT_COMMIT => dict_reply(admin.commit(global).map(|out| out.epoch)),
+        TAG_DICT_INFO => (TAG_DICT_INFO_RESP, encode_dict_info(&admin.info()).to_vec()),
+        _ => unreachable!("caller matched a commit or info tag"),
+    }
+}
+
+/// Execute a run of consecutive `DICT_ADD`/`DICT_REMOVE` frames as one
+/// store batch — one log sync for the run — returning one reply frame per
+/// frame, in frame order. The replies exist only once the batch is synced,
+/// so no `DICT_OK` can leave before its record is durable.
+pub(crate) fn handle_stage_frames(
+    admin: Option<&DictAdmin>,
+    frames: &[(u8, Vec<u8>)],
+) -> Vec<(u8, Vec<u8>)> {
+    let Some(admin) = admin else {
+        return frames
+            .iter()
+            .map(|_| (TAG_DICT_ERR, STATIC_DICT.to_vec()))
+            .collect();
+    };
+    let patterns: Vec<Vec<u32>> = frames
+        .iter()
+        .map(|(_, p)| p.iter().map(|&b| u32::from(b)).collect())
+        .collect();
+    let ops: Vec<StageOp<'_>> = frames
+        .iter()
+        .zip(&patterns)
+        .map(|((tag, _), p)| match *tag {
+            TAG_DICT_ADD => StageOp::Add(p),
+            TAG_DICT_REMOVE => StageOp::Remove(p),
+            _ => unreachable!("caller batched only stage frames"),
+        })
+        .collect();
+    admin.stage(&ops).into_iter().map(dict_reply).collect()
 }
 
 /// Count a connection-level failure in the right degradation bucket.

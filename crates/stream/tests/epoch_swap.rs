@@ -4,12 +4,18 @@
 //! the connection. Every delivered match must be correct for the epoch
 //! its chunk started in (pre- and post-swap patterns both covered), and a
 //! killed server must recover the exact committed dictionary from its log
-//! (replay + compaction round trip).
+//! (replay + compaction round trip). A run of stage frames is one store
+//! batch: one reply per frame in frame order, one log sync, and no reply
+//! at all before that sync (the sync-counting tests need
+//! `--features fault-injection`).
+//!
+//! The disk-fault plane is process-global, so every test that writes a
+//! log holds the `disk` lock while it runs.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pdm_core::dict::to_symbols;
@@ -19,9 +25,15 @@ use pdm_pram::Ctx;
 use pdm_stream::proto::{
     decode_dict_info, decode_epoch, decode_match, decode_summary, read_frame, write_frame,
     TAG_CHUNK, TAG_CLOSE, TAG_DICT_ADD, TAG_DICT_COMMIT, TAG_DICT_ERR, TAG_DICT_INFO,
-    TAG_DICT_INFO_RESP, TAG_DICT_OK, TAG_EPOCH, TAG_MATCH, TAG_SUMMARY,
+    TAG_DICT_INFO_RESP, TAG_DICT_OK, TAG_DICT_REMOVE, TAG_EPOCH, TAG_MATCH, TAG_SUMMARY,
 };
 use pdm_stream::{RetryConfig, RetryingClient, Server, ServerConfig, ServiceConfig};
+
+static DISK: Mutex<()> = Mutex::new(());
+
+fn disk() -> MutexGuard<'static, ()> {
+    DISK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn cfg() -> ServerConfig {
     ServerConfig {
@@ -53,6 +65,32 @@ fn connect(server: &Server) -> TcpStream {
     let sock = TcpStream::connect(server.local_addr()).expect("connect");
     sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     sock
+}
+
+/// Stage frames for `ops` (`true` = add) in one buffer, so that one write
+/// delivers the whole run to the server.
+fn stage_frames(ops: &[(bool, &str)]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for &(add, p) in ops {
+        let tag = if add { TAG_DICT_ADD } else { TAG_DICT_REMOVE };
+        write_frame(&mut buf, tag, p.as_bytes()).unwrap();
+    }
+    buf
+}
+
+/// The next `n` frames.
+fn read_n(r: &mut impl std::io::Read, n: usize) -> Vec<(u8, Vec<u8>)> {
+    (0..n)
+        .map(|_| read_frame(r).expect("read frame").expect("open connection"))
+        .collect()
+}
+
+/// `(epoch, patterns, staged)` over a `DICT_INFO` round trip.
+fn info(w: &mut TcpStream, r: &mut impl std::io::Read) -> (u64, u32, u32) {
+    write_frame(w, TAG_DICT_INFO, &[]).unwrap();
+    let frames = read_until(r, TAG_DICT_INFO_RESP);
+    let i = decode_dict_info(&frames.last().unwrap().1).unwrap();
+    (i.epoch, i.patterns, i.staged)
 }
 
 /// Read frames until `stop` appears; returns every frame read, inclusive.
@@ -93,6 +131,7 @@ fn wait_for(server: &Server, what: &str, pred: impl Fn(&pdm_stream::GlobalSnapsh
 /// session closing with a summary (never dropped).
 #[test]
 fn live_update_swaps_epoch_without_dropping_connection() {
+    let _disk = disk();
     let log = temp_log("swap");
     let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
     let sock = connect(&server);
@@ -172,6 +211,7 @@ fn live_update_swaps_epoch_without_dropping_connection() {
 /// follows the new `max_pattern_len` and it reports the epoch change.
 #[test]
 fn retrying_client_follows_epoch_changes() {
+    let _disk = disk();
     let log = temp_log("client");
     let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
     let mut client = RetryingClient::connect(
@@ -220,6 +260,7 @@ fn retrying_client_follows_epoch_changes() {
 /// the log survives a compaction round trip.
 #[test]
 fn kill_restart_recovers_committed_dictionary() {
+    let _disk = disk();
     let log = temp_log("restart");
     {
         let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
@@ -301,4 +342,205 @@ fn static_server_rejects_dict_frames() {
         "he + she still match"
     );
     server.shutdown();
+}
+
+/// Sixteen stage frames written at once are one batch, answered with
+/// sixteen replies in frame order: the two invalid ops (a duplicate add
+/// and a remove of a pattern never added) get `DICT_ERR` in their own
+/// positions, and a remove then re-add of a committed pattern inside the
+/// batch is validated as sequential staging would.
+#[test]
+fn sixteen_stage_frames_get_sixteen_replies_in_frame_order() {
+    let _disk = disk();
+    let log = temp_log("batch-order");
+    let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
+    let sock = connect(&server);
+    let mut w = sock.try_clone().unwrap();
+    let mut r = BufReader::new(sock);
+    let names: Vec<String> = (0..16).map(|i| format!("a{i}")).collect();
+    let ops: Vec<(bool, &str)> = (0..16)
+        .map(|i| match i {
+            5 => (true, "a2"),       // duplicate of op 2
+            9 => (false, "nothere"), // never added
+            14 => (false, "he"),     // committed in epoch 1
+            15 => (true, "he"),      // re-added after op 14
+            _ => (true, names[i].as_str()),
+        })
+        .collect();
+    w.write_all(&stage_frames(&ops)).unwrap();
+    let tags: Vec<u8> = read_n(&mut r, 16).into_iter().map(|(t, _)| t).collect();
+    let want: Vec<u8> = (0..16)
+        .map(|i| {
+            if i == 5 || i == 9 {
+                TAG_DICT_ERR
+            } else {
+                TAG_DICT_OK
+            }
+        })
+        .collect();
+    assert_eq!(tags, want);
+    assert_eq!(info(&mut w, &mut r), (1, 2, 14));
+    write_frame(&mut w, TAG_DICT_COMMIT, &[]).unwrap();
+    read_until(&mut r, TAG_DICT_OK);
+    assert_eq!(info(&mut w, &mut r), (2, 14, 0));
+    drop((w, r));
+    server.shutdown();
+    std::fs::remove_dir_all(log.parent().unwrap()).ok();
+}
+
+/// A duplicate add inside a batch is refused alone: the ops around it
+/// stage.
+#[test]
+fn a_duplicate_add_inside_a_batch_is_refused_alone() {
+    let _disk = disk();
+    let log = temp_log("batch-dup");
+    let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
+    let sock = connect(&server);
+    let mut w = sock.try_clone().unwrap();
+    let mut r = BufReader::new(sock);
+    w.write_all(&stage_frames(&[(true, "x"), (true, "x"), (true, "y")]))
+        .unwrap();
+    let frames = read_n(&mut r, 3);
+    let tags: Vec<u8> = frames.iter().map(|(t, _)| *t).collect();
+    assert_eq!(tags, [TAG_DICT_OK, TAG_DICT_ERR, TAG_DICT_OK]);
+    let msg = String::from_utf8_lossy(&frames[1].1).into_owned();
+    assert!(msg.contains("already present"), "{msg}");
+    assert_eq!(info(&mut w, &mut r), (1, 2, 2));
+    drop((w, r));
+    server.shutdown();
+    std::fs::remove_dir_all(log.parent().unwrap()).ok();
+}
+
+/// An admin connection that stays open pins no epoch: it opens no session
+/// for its `DICT_*` frames, so once the streaming session adopts the
+/// committed epoch, nothing holds the boot epoch any more.
+#[test]
+fn an_open_admin_connection_pins_no_epoch() {
+    let _disk = disk();
+    let log = temp_log("pin");
+    let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
+    let boot = Arc::downgrade(&server.dict_admin().unwrap().handle().load());
+    let stream = connect(&server);
+    let mut sw = stream.try_clone().unwrap();
+    let mut sr = BufReader::new(stream);
+    write_frame(&mut sw, TAG_CHUNK, b"ushers").unwrap();
+    let pre = read_n(&mut sr, 2);
+    assert!(pre.iter().all(|(t, _)| *t == TAG_MATCH), "she, he");
+
+    let admin = connect(&server);
+    let mut aw = admin.try_clone().unwrap();
+    let mut ar = BufReader::new(admin);
+    write_frame(&mut aw, TAG_DICT_ADD, b"hers").unwrap();
+    read_until(&mut ar, TAG_DICT_OK);
+    write_frame(&mut aw, TAG_DICT_COMMIT, &[]).unwrap();
+    read_until(&mut ar, TAG_DICT_OK);
+    assert_eq!(info(&mut aw, &mut ar), (2, 3, 0));
+
+    // The worker swaps the new epoch in before it sends the marker.
+    write_frame(&mut sw, TAG_CHUNK, b"xhersx").unwrap();
+    read_until(&mut sr, TAG_EPOCH);
+    assert!(
+        boot.upgrade().is_none(),
+        "the open admin connection still pins the boot epoch"
+    );
+    write_frame(&mut sw, TAG_CLOSE, &[]).unwrap();
+    read_until(&mut sr, TAG_SUMMARY);
+    drop((aw, ar));
+    server.shutdown();
+    std::fs::remove_dir_all(log.parent().unwrap()).ok();
+}
+
+/// Log syncs counted by the disk-fault plane: a staged batch costs one, a
+/// failed one answers every op with `DICT_ERR`, stages none and poisons
+/// the store, and offline staging (`pdm dict add --log`, one op per call)
+/// still syncs once per op.
+#[cfg(feature = "fault-injection")]
+mod log_syncs {
+    use super::*;
+    use pdm_primitives::vfs::faults::{self, DiskFaultPlan};
+
+    #[test]
+    fn a_staged_batch_costs_one_log_sync() {
+        let _disk = disk();
+        let log = temp_log("batch-sync");
+        let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
+        let sock = connect(&server);
+        let mut w = sock.try_clone().unwrap();
+        let mut r = BufReader::new(sock);
+        let names: Vec<String> = (0..16).map(|i| format!("b{i}")).collect();
+        let ops: Vec<(bool, &str)> = names.iter().map(|n| (true, n.as_str())).collect();
+        faults::install(DiskFaultPlan::default()); // count only
+        w.write_all(&stage_frames(&ops)).unwrap();
+        let frames = read_n(&mut r, 16);
+        let syncs = faults::counts().syncs;
+        write_frame(&mut w, TAG_DICT_COMMIT, &[]).unwrap();
+        read_until(&mut r, TAG_DICT_OK);
+        let after_commit = faults::counts().syncs;
+        faults::clear();
+        assert!(frames.iter().all(|(t, _)| *t == TAG_DICT_OK));
+        assert_eq!(syncs, 1, "sixteen stage frames, one log sync");
+        assert_eq!(after_commit, 2, "a 16-op commit costs two syncs");
+        drop((w, r));
+        server.shutdown();
+        std::fs::remove_dir_all(log.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_failed_batch_sync_answers_every_op_with_dict_err_and_stages_none() {
+        let _disk = disk();
+        let log = temp_log("batch-fail");
+        let server = Server::bind_versioned(("127.0.0.1", 0), seeded_store(&log), cfg()).unwrap();
+        let sock = connect(&server);
+        let mut w = sock.try_clone().unwrap();
+        let mut r = BufReader::new(sock);
+        let names: Vec<String> = (0..16).map(|i| format!("c{i}")).collect();
+        let ops: Vec<(bool, &str)> = names.iter().map(|n| (true, n.as_str())).collect();
+        faults::install(DiskFaultPlan {
+            fail_sync_every: 1,
+            fail_sync_max: 1,
+            ..Default::default()
+        });
+        w.write_all(&stage_frames(&ops)).unwrap();
+        let frames = read_n(&mut r, 16);
+        let injected = faults::counts().injected;
+        faults::clear();
+        assert_eq!(injected, 1, "the batch's one sync failed");
+        assert!(
+            frames.iter().all(|(t, _)| *t == TAG_DICT_ERR),
+            "no DICT_OK before its record is synced"
+        );
+        // Nothing staged, epoch unchanged; the poisoned store refuses
+        // stages and commits until it is reopened.
+        assert_eq!(info(&mut w, &mut r), (1, 2, 0));
+        write_frame(&mut w, TAG_DICT_ADD, b"later").unwrap();
+        let (tag, msg) = read_until(&mut r, TAG_DICT_ERR).pop().unwrap();
+        assert_eq!(tag, TAG_DICT_ERR);
+        assert!(String::from_utf8_lossy(&msg).contains("until reopened"));
+        write_frame(&mut w, TAG_DICT_COMMIT, &[]).unwrap();
+        read_until(&mut r, TAG_DICT_ERR);
+        drop((w, r));
+        server.shutdown();
+        // Reopening replays what the log holds and takes updates again.
+        let mut store = DictStore::open(&log).unwrap();
+        assert_eq!((store.epoch(), store.pattern_count()), (1, 2));
+        store.stage_add(&to_symbols("later")).unwrap();
+        std::fs::remove_dir_all(log.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn offline_staging_syncs_once_per_op() {
+        let _disk = disk();
+        let log = temp_log("offline-sync");
+        let mut store = DictStore::open(&log).unwrap();
+        faults::install(DiskFaultPlan::default());
+        for p in ["he", "she", "hers"] {
+            store.stage_add(&to_symbols(p)).unwrap();
+        }
+        let staged = faults::counts().syncs;
+        store.commit(&Ctx::seq()).unwrap();
+        let committed = faults::counts().syncs;
+        faults::clear();
+        assert_eq!((staged, committed), (3, 4));
+        std::fs::remove_dir_all(log.parent().unwrap()).ok();
+    }
 }

@@ -16,6 +16,10 @@
 //! * `pdm fsck` finds nothing unrepairable, and after `--repair` the
 //!   store is clean.
 //!
+//! A failed fsync without a crash (`fail_sync_every`) must poison the
+//! store instead: it never runs ahead of its log, refuses every update
+//! until reopened, and the reopened store serves what the log holds.
+//!
 //! Fault plans are process-global, so every test serializes on one
 //! mutex; this file is its own test binary and nothing else links the
 //! hooks in.
@@ -25,7 +29,7 @@
 use pdm_core::dict::to_symbols;
 use pdm_core::{PatId, Sym};
 use pdm_dict::fsck::fsck_store;
-use pdm_dict::DictStore;
+use pdm_dict::{DictStore, StoreError};
 use pdm_pram::Ctx;
 use pdm_primitives::vfs::{self, faults};
 use std::path::{Path, PathBuf};
@@ -286,5 +290,93 @@ fn short_reads_never_serve_truncated_data() {
     faults::clear();
     assert!(err.is_err(), "a truncated PDMX read must not decode");
     assert_eq!(pdm_index::CorpusIndex::read_from(&path).unwrap(), idx);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Open a store at `path` whose committed epoch 1 is `{he, she}`.
+fn seeded(path: &Path, ctx: &Ctx) -> DictStore {
+    let mut store = DictStore::open(path).unwrap();
+    for p in ["he", "she"] {
+        store.stage_add(&to_symbols(p)).unwrap();
+    }
+    store.commit(ctx).unwrap();
+    store
+}
+
+/// Every later stage, commit and compaction of a poisoned store refuses
+/// with `StoreError::Poisoned`, fault plan or not.
+fn assert_refuses_updates(store: &mut DictStore, ctx: &Ctx) {
+    let poisoned = |r: Result<(), StoreError>| matches!(r, Err(StoreError::Poisoned(_)));
+    assert!(poisoned(store.stage_add(&to_symbols("hers"))));
+    assert!(poisoned(store.stage_remove(&to_symbols("he"))));
+    assert!(poisoned(store.commit(ctx).map(drop)));
+    assert!(poisoned(store.compact(ctx).map(drop)));
+}
+
+#[test]
+fn poison_a_failed_commit_sync_keeps_the_store_at_its_served_epoch() {
+    let _g = PLANE.lock().unwrap();
+    let ctx = Ctx::seq();
+    let dir = tmp_dir("poison-commit");
+    let path = dir.join("dict.pdml");
+    let mut store = seeded(&path, &ctx);
+    store.stage_add(&to_symbols("his")).unwrap();
+    faults::install(faults::DiskFaultPlan {
+        fail_sync_every: 1,
+        fail_sync_max: 1,
+        ..Default::default()
+    });
+    let failed = store.commit(&ctx);
+    let injected = faults::counts().injected;
+    faults::clear();
+    assert_eq!(injected, 1, "the commit's sync failed");
+    assert!(matches!(failed, Err(StoreError::Poisoned(_))), "{failed:?}");
+    // Nothing applied: the store still describes epoch 1, the one served.
+    assert_eq!(
+        (store.epoch(), store.pattern_count(), store.staged_len()),
+        (1, 2, 1)
+    );
+    assert_refuses_updates(&mut store, &ctx);
+    drop(store);
+    // The commit record was written before its sync failed, so the
+    // reopened log seals epoch 2, and the store serves exactly that.
+    let mut store = DictStore::open(&path).unwrap();
+    assert_eq!((store.epoch(), store.pattern_count()), (2, 3));
+    let boot = store.boot_snapshot(&ctx).unwrap();
+    let live = ["he", "she", "his"].map(to_symbols).to_vec();
+    let want = pdm_dict::Snapshot::build_static(&ctx, 2, live).unwrap();
+    assert_eq!(
+        boot.snapshot.find_all(&ctx, &probe_text()),
+        want.find_all(&ctx, &probe_text())
+    );
+    store.stage_add(&to_symbols("hers")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn poison_a_failed_stage_sync_stages_nothing_until_reopened() {
+    let _g = PLANE.lock().unwrap();
+    let ctx = Ctx::seq();
+    let dir = tmp_dir("poison-stage");
+    let path = dir.join("dict.pdml");
+    let mut store = seeded(&path, &ctx);
+    faults::install(faults::DiskFaultPlan {
+        fail_sync_every: 1,
+        fail_sync_max: 1,
+        ..Default::default()
+    });
+    let failed = store.stage_add(&to_symbols("his"));
+    faults::clear();
+    assert!(matches!(failed, Err(StoreError::Poisoned(_))), "{failed:?}");
+    assert_eq!((store.epoch(), store.staged_len()), (1, 0));
+    assert_refuses_updates(&mut store, &ctx);
+    drop(store);
+    // Reopening replays what the log holds — here the record written
+    // before its sync failed, restaged — and the store takes updates again.
+    let mut store = DictStore::open(&path).unwrap();
+    assert_eq!((store.epoch(), store.staged_len()), (1, 1));
+    store.stage_add(&to_symbols("hers")).unwrap();
+    store.commit(&ctx).unwrap();
+    assert_eq!((store.epoch(), store.pattern_count()), (2, 4));
     std::fs::remove_dir_all(&dir).ok();
 }
