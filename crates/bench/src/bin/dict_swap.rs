@@ -2,26 +2,31 @@
 //!
 //! Two questions the epoch-swap design hinges on:
 //!
-//! 1. **Crossover** — per batch size, is it cheaper to apply the staged
-//!    ops through `DynamicMatcher` (§6 incremental path) or to rebuild
-//!    the whole snapshot in parallel (§4)? The store's auto policy picks
-//!    by staged-symbol ratio; this measures both paths forced, so the
-//!    reported crossover validates (or indicts) the default threshold.
+//! 1. **Commit latency** — per batch size, what does a steady-state commit
+//!    cost? Every commit applies its staged ops through the store's
+//!    `DynamicMatcher` (§6) and freezes it, patching the frozen copy it
+//!    published two commits ago. Each timed commit follows the seed commit
+//!    and two untimed ones that add and remove the same batch, so both
+//!    frozen copies exist, no epoch holds the copy being patched, and each
+//!    row records the route its tables took ([`FreezeRoute`]): the route a
+//!    served commit takes between two commits of the same shape.
 //! 2. **Swap latency under load** — how long does commit+publish take
 //!    while sessions are streaming, and does a swap dent throughput?
 //!    Publishing is a pointer swap, so the committed-to-visible latency
-//!    should track the rebuild cost alone.
+//!    should track the freeze cost alone.
 //!
 //! Usage: `dict_swap [out.json] [--check baseline.json]` (default
-//! `BENCH_dict.json`). `PDM_BENCH_SMOKE=1` shrinks the crossover sizes and
-//! runs for CI smoke coverage; its batch sizes are a subset of the full
-//! run's, so `--check` can compare them. `--check` fails (exit 1) when a
-//! batch's incremental commit takes more than twice its baseline time, or
+//! `BENCH_dict.json`). `PDM_BENCH_SMOKE=1` shrinks the dictionary, the
+//! batch sizes and the runs for CI smoke coverage; its batch sizes are a
+//! subset of the full run's, so `--check` can compare them. `--check`
+//! fails (exit 1) when a batch's steady-state commit (its row's
+//! `incremental_ms`) takes more than twice its baseline time, or
 //! `swap_under_load.stream_mbps` falls below half its baseline — the same
 //! 50% margin as the other bench guards, read as a rate.
 
 use pdm_core::dict::{to_symbols, Sym};
-use pdm_dict::{DictStore, SnapshotPath, StageOp};
+use pdm_core::dynamic::FreezeRoute;
+use pdm_dict::{DictStore, StageOp};
 use pdm_pram::Ctx;
 use pdm_stream::{DictAdmin, GlobalMetrics, ServiceConfig, ShardedService};
 use pdm_textgen::{strings, Alphabet};
@@ -53,23 +58,34 @@ fn seeded(ctx: &Ctx, base: usize) -> DictStore {
 }
 
 /// Median commit latency for `batch` staged adds on top of `base`
-/// committed patterns, forcing the given rebuild path. The store/stage
-/// setup is rebuilt per run and kept off the clock.
-fn commit_latency(ctx: &Ctx, runs: usize, base: usize, batch: usize, path: SnapshotPath) -> f64 {
+/// committed patterns, and the costliest route the timed commits' tables
+/// took. Before each timed commit, off the clock: the seed commit, one
+/// that adds the batch and one that removes it again, none of them held.
+/// The removal touched every table the timed re-add touches, so the copy
+/// the re-add patches shares no array with another, and the re-add
+/// restores the entry counts that copy was frozen at.
+fn commit_latency(ctx: &Ctx, runs: usize, base: usize, batch: usize) -> (f64, FreezeRoute) {
     let mut samples = Vec::with_capacity(runs + 1);
+    let mut route = FreezeRoute::InPlace;
     for _ in 0..=runs {
         let mut store = seeded(ctx, base);
-        for j in 0..batch {
-            store.stage_add(&pat("add", j)).unwrap();
+        let pats: Vec<Vec<Sym>> = (0..batch).map(|j| pat("add", j)).collect();
+        let add: Vec<StageOp> = pats.iter().map(|p| StageOp::Add(p)).collect();
+        let remove: Vec<StageOp> = pats.iter().map(|p| StageOp::Remove(p)).collect();
+        for (i, staged) in [&add, &remove, &add].into_iter().enumerate() {
+            assert!(store.stage_batch(staged).iter().all(Result::is_ok));
+            let t0 = Instant::now();
+            let out = store.commit(ctx).unwrap();
+            let took = t0.elapsed();
+            if i == 2 {
+                samples.push(took);
+                route = route.max(out.tables.expect("a non-empty epoch froze"));
+            }
         }
-        let t0 = Instant::now();
-        let out = store.commit_with(ctx, Some(path)).unwrap();
-        samples.push(t0.elapsed());
-        std::hint::black_box(out);
     }
     samples.remove(0); // warmup
     samples.sort_unstable();
-    ms(samples[samples.len() / 2])
+    (ms(samples[samples.len() / 2]), route)
 }
 
 /// The number after `"key": ` in the first place `anchor` is followed by
@@ -95,10 +111,10 @@ fn check(json: &str, base: &str, batches: &[usize]) -> bool {
             continue;
         };
         if cur > want / 0.5 {
-            eprintln!("check FAIL: batch {k} incremental {cur:.3} ms > 2x baseline {want:.3}");
+            eprintln!("check FAIL: batch {k} commit {cur:.3} ms > 2x baseline {want:.3}");
             ok = false;
         } else {
-            eprintln!("check ok:   batch {k} incremental {cur:.3} ms vs baseline {want:.3}");
+            eprintln!("check ok:   batch {k} commit {cur:.3} ms vs baseline {want:.3}");
         }
     }
     let cur = field_after(json, "swap_under_load", "stream_mbps").expect("this run has it");
@@ -139,18 +155,13 @@ fn main() {
     };
     let ctx = Ctx::with_threads(host_cpus.min(4));
 
-    // --- 1. incremental apply vs full rebuild crossover -----------------
+    // --- 1. steady-state commit latency per batch size -----------------
     let mut rows = Vec::new();
-    let mut crossover: Option<usize> = None;
     for &k in &batches {
-        let inc = commit_latency(&ctx, runs, base, k, SnapshotPath::Incremental);
-        let full = commit_latency(&ctx, runs, base, k, SnapshotPath::FullRebuild);
-        if crossover.is_none() && full <= inc {
-            crossover = Some(k);
-        }
-        eprintln!("batch {k:>4}: incremental {inc:.3} ms, full rebuild {full:.3} ms");
+        let (inc, route) = commit_latency(&ctx, runs, base, k);
+        eprintln!("batch {k:>4}: commit {inc:.3} ms, tables {route:?}");
         rows.push(format!(
-            "    {{\"batch\": {k}, \"incremental_ms\": {inc:.3}, \"full_rebuild_ms\": {full:.3}}}"
+            "    {{\"batch\": {k}, \"incremental_ms\": {inc:.3}, \"route\": \"{route:?}\"}}"
         ));
     }
 
@@ -226,13 +237,12 @@ fn main() {
         json,
         "{{\n  \"meta\": {{\"host_cpus\": {host_cpus}, \"smoke\": {smoke}, \
          \"base_patterns\": {base}, \"runs\": {runs}}},\n  \
-         \"crossover\": {{\"rows\": [\n{}\n  ], \"full_beats_incremental_at_batch\": {}}},\n  \
+         \"commit\": {{\"rows\": [\n{}\n  ]}},\n  \
          \"swap_under_load\": {{\"sessions\": {sessions}, \"text_syms_per_session\": {text_syms}, \
          \"commits\": {commits}, \"idle_commit_ms\": {idle_ms:.3}, \
          \"loaded_commit_ms\": {loaded_ms:.3}, \"stream_mbps\": {mbps:.2}, \
          \"epoch_adoptions\": {swaps}}}\n}}\n",
         rows.join(",\n"),
-        crossover.map_or("null".into(), |k| k.to_string()),
     );
     std::fs::write(&out_path, &json).expect("write dict json");
     println!("{json}");

@@ -79,8 +79,8 @@ pub enum FreezeRoute {
     /// an epoch still held the copy (or no second copy existed yet).
     Copied,
     /// Some table was re-frozen from its entries: the first freeze, one
-    /// after a squeeze-out rebuild or [`DynamicMatcher::drop_frozen`], a
-    /// new level, or an entry count that changes the table's slot count.
+    /// after a squeeze-out rebuild, a new level, or an entry count that
+    /// changes the table's slot count.
     Refrozen,
 }
 
@@ -322,10 +322,9 @@ impl DynamicMatcher {
     /// ([`FrozenNameTable::patch`]): in place once no epoch holds that copy
     /// any more, on a copy of the arrays otherwise. A table is re-frozen
     /// from its entries only on the first freeze, after a squeeze-out
-    /// rebuild or [`Self::drop_frozen`], at a level the copy lacks, or when
-    /// its entry count changes its slot count. The attribution maps,
-    /// chains and prefix lists stay `O(M)` per freeze: a removal renumbers
-    /// the canonical ids they hold.
+    /// rebuild, at a level the copy lacks, or when its entry count changes
+    /// its slot count. The attribution maps, chains and prefix lists stay
+    /// `O(M)` per freeze: a removal renumbers the canonical ids they hold.
     pub fn freeze(&mut self, order: &[PatId]) -> (StaticMatcher, FreezeRoute) {
         assert!(!order.is_empty(), "an empty dictionary has no static form");
         debug_assert_eq!(
@@ -359,15 +358,6 @@ impl DynamicMatcher {
             self.pool.allocated(),
         ));
         (m, route)
-    }
-
-    /// Drop both frozen copies and stop logging table changes; the next
-    /// [`Self::freeze`] re-freezes every table. For owners that stop
-    /// freezing for a while (a store publishing a full rebuild instead), so
-    /// neither the copies nor the logs outlive their use.
-    pub fn drop_frozen(&mut self) {
-        self.frozen = None;
-        self.tables_mut().for_each(DynTable::stop_log);
     }
 
     /// The `sym`, `pair` and `ext` tables: the ones frozen copies mirror.

@@ -3,7 +3,7 @@
 //! Readers pin an epoch by cloning the `Arc` out of the slot — typically
 //! once per chunk — and keep matching against that snapshot even if a new
 //! epoch is published mid-chunk. Publication is a pointer swap under a
-//! short write lock; no reader ever blocks on a rebuild (rebuilds happen
+//! short write lock; no reader ever blocks on a commit (its freeze runs
 //! in the store *before* `publish`).
 
 use crate::snapshot::Snapshot;

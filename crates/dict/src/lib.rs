@@ -9,14 +9,19 @@
 //!   and compaction (which also emits a loadable snapshot file);
 //! * [`Snapshot`] — one immutable epoch: canonical pattern ids, a matcher,
 //!   and all-matches expansion chains, the same pattern list and the same
-//!   match output whichever rebuild path produced it;
+//!   match output whichever path produced it (a freeze, a static build or
+//!   a sidecar load);
 //! * [`EpochHandle`] — the `Arc`-swap slot readers pin per chunk, so
 //!   in-flight work finishes against its starting epoch while new work
 //!   observes the published one.
 //!
-//! The rebuild policy lives in [`DictStore::commit`]: small batches go
-//! through the core `DynamicMatcher` (the §6 incremental path), large
-//! batches trigger a full parallel `StaticMatcher` rebuild on the pool.
+//! Every [`DictStore::commit`] takes one path, whatever the size of its
+//! batch: the staged ops go through the store's master `DynamicMatcher`
+//! (the §6 insert/delete path), and the epoch it publishes is a freeze of
+//! that matcher into the static read form (Theorems 8 and 10). A full
+//! parallel `StaticMatcher` build runs only where no dynamic matcher is
+//! fed yet or the bytes must be a function of the pattern set alone: a
+//! boot without a usable sidecar, and compaction.
 //!
 //! ```
 //! use pdm_dict::{DictStore, EpochHandle};
@@ -50,5 +55,4 @@ pub use log::{RecoveredTornTail, TailFault};
 pub use snapshot::{inspect, SnapError, SnapInfo, Snapshot, SnapshotPath};
 pub use store::{
     BootFallback, BootOutcome, CommitOutcome, CompactReport, DictStore, StageOp, StoreError,
-    DEFAULT_REBUILD_THRESHOLD,
 };

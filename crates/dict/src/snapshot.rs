@@ -6,10 +6,10 @@
 //! [`StaticMatcher`] over it — frozen name tables, the Theorem 2
 //! attribution maps, the prefix chains that expand longest-match output
 //! into *all* matches per position, and the SWAR prefilter. Every epoch
-//! has that one form whichever path produced it: a full parallel build
-//! ([`SnapshotPath::FullRebuild`]), a load of the v2 sidecar
-//! ([`SnapshotPath::ColdLoaded`]), or a freeze of the store's dynamic
-//! matcher after an incremental commit ([`SnapshotPath::Incremental`],
+//! has that one form whichever path produced it: a full parallel build at
+//! a boot without a usable sidecar ([`SnapshotPath::FullRebuild`]), a load
+//! of the v2 sidecar ([`SnapshotPath::ColdLoaded`]), or a freeze of the
+//! store's dynamic matcher at a commit ([`SnapshotPath::Incremental`],
 //! [`DynamicMatcher::freeze`]); only an empty epoch has no matcher.
 //! Snapshots are what the serving layer pins per chunk — they never change
 //! after construction, so a session can finish a chunk against the epoch
@@ -98,9 +98,12 @@ fn corrupt(why: impl Into<String>) -> SnapError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotPath {
     /// Batch applied through the §6 `DynamicMatcher` (Theorems 7–10), then
-    /// frozen into the static read form.
+    /// frozen into the static read form: every commit.
     Incremental,
-    /// Full parallel `StaticMatcher` rebuild on the pool (Theorem 3).
+    /// Full parallel `StaticMatcher` build on the pool (Theorem 3): the
+    /// first epoch of a store booted without a usable sidecar, what
+    /// compaction and `pdm build` serialize, and a wrapped prebuilt
+    /// matcher. No commit takes this path.
     FullRebuild,
     /// Deserialized from a v2 sidecar — no naming rounds ran at all.
     ColdLoaded,
@@ -121,7 +124,7 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Build the static-path snapshot (full parallel rebuild). Empty
+    /// Build the static-path snapshot (full parallel build). Empty
     /// dictionaries yield an empty epoch — the §4 build rejects zero
     /// patterns, an empty epoch is still a valid epoch.
     pub fn build_static(
@@ -239,7 +242,7 @@ impl Snapshot {
     /// Every `(position, canonical pattern)` occurrence in `text`, sorted
     /// by position then pattern id — the same contract as
     /// [`StaticMatcher::find_all`], with canonical ids, so results are
-    /// identical whichever rebuild path produced the snapshot.
+    /// identical whichever path produced the snapshot.
     pub fn find_all(&self, ctx: &Ctx, text: &[Sym]) -> Vec<(usize, PatId)> {
         let mut scratch = TextScratch::new();
         let mut v = Vec::new();

@@ -1,5 +1,5 @@
 //! The versioned dictionary store: staged updates, committed epochs, and
-//! the incremental-vs-full rebuild policy.
+//! the one commit path.
 //!
 //! A [`DictStore`] owns three things:
 //!
@@ -14,17 +14,12 @@
 //!    canonical id space every [`Snapshot`] shares), plus a master
 //!    [`DynamicMatcher`] mirroring the committed set through the paper's
 //!    §6 insert/delete path;
-//! 3. the **rebuild policy** — a commit whose pending-update ratio stays
-//!    under the threshold applies the batch to the dynamic matcher
-//!    (Theorems 7–10: `O(λ)` table work per pattern) and freezes its live
-//!    tables into the static read form by patching the frozen copy it
-//!    published two commits ago (work in the changed entries, no naming
-//!    rounds; [`DynamicMatcher::freeze`]);
-//!    past the threshold it rebuilds a `StaticMatcher` on the pool instead
-//!    (Theorem 3), which is cheaper than many incremental steps once the
-//!    batch is a sizable fraction of the dictionary. Both paths publish the
-//!    same read-only form, with identical canonical pattern lists and
-//!    identical match output.
+//! 3. the **commit** — every commit, whatever the size of its batch,
+//!    applies the staged ops to the master dynamic matcher (Theorems 7–10:
+//!    `O(λ)` table work per pattern) and publishes a freeze of it in the
+//!    static read form (Theorems 8 and 10: matching "as static"). The
+//!    freeze patches the frozen copy it published two commits ago (work in
+//!    the changed entries, no naming rounds; [`DynamicMatcher::freeze`]).
 //!
 //! **Cold start.** [`DictStore::open`] replays the log *structurally* —
 //! canonical slots, liveness, staged tail — without feeding the master
@@ -32,8 +27,9 @@
 //! lazy hydration). [`DictStore::boot_snapshot`] then serves the first
 //! epoch from the `<log>.snap` sidecar when it is a valid, current v2
 //! snapshot ([`SnapshotPath::ColdLoaded`], zero naming rounds), and falls
-//! back to a rebuild otherwise, reporting why ([`BootFallback`]).
-//! [`DictStore::compact`] emits that v2 sidecar.
+//! back to a parallel static build otherwise
+//! ([`SnapshotPath::FullRebuild`]), reporting why ([`BootFallback`]).
+//! [`DictStore::compact`] emits that v2 sidecar, also from a static build.
 
 use crate::log::{LogError, LogFile, Record, RecoveredTornTail};
 use crate::snapshot::{Snapshot, SnapshotPath, SNAP_VERSION};
@@ -43,10 +39,6 @@ use pdm_pram::Ctx;
 use pdm_primitives::{vfs, FxHashMap};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Default pending-update ratio above which a commit takes the full-rebuild
-/// path (staged symbols / committed symbols).
-pub const DEFAULT_REBUILD_THRESHOLD: f64 = 0.25;
 
 /// Errors from store operations.
 #[derive(Debug)]
@@ -108,12 +100,6 @@ enum Op {
 }
 
 impl Op {
-    fn syms(&self) -> usize {
-        match self {
-            Op::Add(p) | Op::Remove(p) => p.len(),
-        }
-    }
-
     fn record(&self) -> Record {
         match self {
             Op::Add(p) => Record::Add(p.clone()),
@@ -136,11 +122,12 @@ pub struct CommitOutcome {
     pub epoch: u64,
     /// Snapshot for that epoch (hand to [`crate::EpochHandle::publish`]).
     pub snapshot: Arc<Snapshot>,
-    /// Which rebuild path ran.
+    /// Always [`SnapshotPath::Incremental`]: every commit freezes the
+    /// master dynamic matcher.
     pub path: SnapshotPath,
-    /// How an incremental commit produced its frozen tables: patched in
-    /// place, patched on a copy, or re-frozen. `None` when nothing was
-    /// frozen (a full rebuild, or an empty epoch).
+    /// How the commit produced its frozen tables: patched in place,
+    /// patched on a copy, or re-frozen. `None` for an empty epoch, which
+    /// freezes nothing.
     pub tables: Option<FreezeRoute>,
     /// Number of staged ops applied.
     pub applied: usize,
@@ -226,7 +213,6 @@ pub struct DictStore {
     /// whether or not `dynm` is hydrated).
     committed_syms: usize,
     epoch: u64,
-    threshold: f64,
     /// Sequential context for the per-op §6 updates (each is `O(λ)`).
     seq: Ctx,
     /// Bytes dropped from a torn/corrupt log tail at open.
@@ -253,7 +239,6 @@ impl DictStore {
             hydrated: true,
             committed_syms: 0,
             epoch: 0,
-            threshold: DEFAULT_REBUILD_THRESHOLD,
             seq: Ctx::seq(),
             recovered_truncated: 0,
             recovery: None,
@@ -301,12 +286,6 @@ impl DictStore {
             }
         }
         Ok(store)
-    }
-
-    /// Ratio of staged symbols to committed symbols above which a commit
-    /// runs a full rebuild instead of the incremental path.
-    pub fn set_rebuild_threshold(&mut self, threshold: f64) {
-        self.threshold = threshold.max(0.0);
     }
 
     pub fn epoch(&self) -> u64 {
@@ -434,19 +413,13 @@ impl DictStore {
         results
     }
 
-    /// Commit every staged op as a new epoch; the rebuild path is chosen
-    /// by the pending-update ratio (see module docs).
-    pub fn commit(&mut self, ctx: &Ctx) -> Result<CommitOutcome, StoreError> {
-        self.commit_with(ctx, None)
-    }
-
-    /// Commit with the rebuild path forced — the differential test uses
-    /// this to prove both paths publish identical snapshots.
-    pub fn commit_with(
-        &mut self,
-        ctx: &Ctx,
-        force: Option<SnapshotPath>,
-    ) -> Result<CommitOutcome, StoreError> {
+    /// Commit every staged op as a new epoch: apply them to the master
+    /// dynamic matcher (hydrating it first if the store was opened from a
+    /// log) and publish its freeze ([`Snapshot::freeze_dynamic`]), whatever
+    /// the size of the batch. `_ctx` is not used — the §6 updates run
+    /// sequentially and the freeze runs no naming rounds — and stays only
+    /// because `perfbench` calls this signature.
+    pub fn commit(&mut self, _ctx: &Ctx) -> Result<CommitOutcome, StoreError> {
         self.check_poisoned()?;
         if self.staged.is_empty() {
             return Err(StoreError::NothingStaged);
@@ -454,13 +427,6 @@ impl DictStore {
         // Commits mutate the master dynamic matcher, so a structurally
         // replayed store pays its deferred naming work now (once).
         self.ensure_hydrated()?;
-        let staged_syms: usize = self.staged.iter().map(Op::syms).sum();
-        let ratio = staged_syms as f64 / self.symbol_count().max(1) as f64;
-        let path = force.unwrap_or(if ratio > self.threshold {
-            SnapshotPath::FullRebuild
-        } else {
-            SnapshotPath::Incremental
-        });
         // Seal the epoch in the log before applying anything: a failed
         // append or sync leaves this store at the epoch it serves.
         let epoch = self.epoch + 1;
@@ -469,11 +435,6 @@ impl DictStore {
             log.sync()
         })
         .map_err(StoreError::Poisoned)?;
-        if path == SnapshotPath::FullRebuild {
-            // No freeze reads the frozen copies or their change logs until
-            // the next incremental commit, which re-freezes anyway.
-            self.dynm.drop_frozen();
-        }
         let ops = std::mem::take(&mut self.staged);
         self.staged_view.clear();
         let applied = ops.len();
@@ -493,43 +454,44 @@ impl DictStore {
             }
         }
         self.epoch = epoch;
-        let (snapshot, tables) = self.build_snapshot(ctx, path)?;
+        let native: Vec<PatId> = self
+            .slots
+            .iter()
+            .zip(&self.native)
+            .filter(|(s, _)| s.is_some())
+            .map(|(_, n)| n.expect("hydrated live slot has a native id"))
+            .collect();
+        let patterns = self.live_patterns();
+        let (snapshot, tables) = Snapshot::freeze_dynamic(epoch, &mut self.dynm, patterns, &native);
         Ok(CommitOutcome {
             epoch,
             snapshot: Arc::new(snapshot),
-            path,
+            path: SnapshotPath::Incremental,
             tables,
             applied,
         })
     }
 
-    /// Snapshot of the current committed dictionary (for the initial
-    /// publish at serve start). A hydrated store freezes the live dynamic
-    /// matcher (incremental path); a structurally replayed one rebuilds a
-    /// static matcher instead — cheaper than hydrating just to freeze.
-    pub fn snapshot(&mut self, ctx: &Ctx) -> Result<Arc<Snapshot>, StoreError> {
-        let path = if self.hydrated {
-            SnapshotPath::Incremental
-        } else {
-            SnapshotPath::FullRebuild
-        };
-        Ok(Arc::new(self.build_snapshot(ctx, path)?.0))
-    }
-
     /// First snapshot at serve start, preferring the `<log>.snap` sidecar:
     /// a valid, current v2 sidecar is loaded in `O(file size)` with zero
     /// naming rounds ([`SnapshotPath::ColdLoaded`]); anything else —
-    /// missing, legacy v1, corrupt, stale — falls back to
-    /// [`DictStore::snapshot`] and reports why in
+    /// missing, legacy v1, corrupt, stale — falls back to a parallel static
+    /// build of the committed dictionary on `ctx`
+    /// ([`SnapshotPath::FullRebuild`]; cheaper than hydrating the dynamic
+    /// matcher just to freeze it) and reports why in
     /// [`BootOutcome::fallback`].
-    pub fn boot_snapshot(&mut self, ctx: &Ctx) -> Result<BootOutcome, StoreError> {
+    pub fn boot_snapshot(&self, ctx: &Ctx) -> Result<BootOutcome, StoreError> {
         match self.try_cold_boot() {
             Ok(snapshot) => Ok(BootOutcome {
                 snapshot,
                 fallback: None,
             }),
             Err(reason) => Ok(BootOutcome {
-                snapshot: self.snapshot(ctx)?,
+                snapshot: Arc::new(Snapshot::build_static(
+                    ctx,
+                    self.epoch,
+                    self.live_patterns(),
+                )?),
                 fallback: Some(reason),
             }),
         }
@@ -713,32 +675,6 @@ impl DictStore {
         self.hydrated = true;
         Ok(())
     }
-
-    /// The snapshot of the committed dictionary on `path`, and how its
-    /// frozen tables were produced when it froze the dynamic matcher.
-    fn build_snapshot(
-        &mut self,
-        ctx: &Ctx,
-        path: SnapshotPath,
-    ) -> Result<(Snapshot, Option<FreezeRoute>), StoreError> {
-        let patterns = self.live_patterns();
-        Ok(match path {
-            SnapshotPath::FullRebuild | SnapshotPath::ColdLoaded => {
-                (Snapshot::build_static(ctx, self.epoch, patterns)?, None)
-            }
-            SnapshotPath::Incremental => {
-                debug_assert!(self.hydrated, "incremental snapshot of unhydrated store");
-                let native: Vec<PatId> = self
-                    .slots
-                    .iter()
-                    .zip(&self.native)
-                    .filter(|(s, _)| s.is_some())
-                    .map(|(_, n)| n.expect("hydrated live slot has a native id"))
-                    .collect();
-                Snapshot::freeze_dynamic(self.epoch, &mut self.dynm, patterns, &native)
-            }
-        })
-    }
 }
 
 fn dyn_err(e: DynError) -> StoreError {
@@ -831,51 +767,53 @@ mod tests {
         assert_eq!(s.pattern_count(), 1);
     }
 
+    /// Every commit freezes the master dynamic matcher, whatever its batch:
+    /// the first into an empty store and batches larger than the committed
+    /// dictionary each publish an `Incremental` epoch with frozen tables,
+    /// charge nothing to the context they are given (no static build runs
+    /// on it), and match as Aho–Corasick and a fresh static build do, with
+    /// the same canonical ids.
     #[test]
-    fn rebuild_policy_crosses_threshold() {
-        let ctx = Ctx::seq();
+    fn every_commit_freezes_the_dynamic_matcher() {
+        use pdm_baselines::AhoCorasick;
+        let text = to_symbols("usherssheherhishersisheis");
         let mut s = DictStore::in_memory();
-        add_all(&mut s, &["aaaa", "bbbb", "cccc", "dddd"]);
-        // Bootstrap commit: ratio is huge (empty dictionary) → full.
-        assert_eq!(s.commit(&ctx).unwrap().path, SnapshotPath::FullRebuild);
-        // One small add against 16 symbols: ratio 0.25 is not > 0.25.
-        s.stage_add(&to_symbols("efgh")).unwrap();
-        assert_eq!(s.commit(&ctx).unwrap().path, SnapshotPath::Incremental);
-        // A batch bigger than a quarter of the dictionary → full rebuild.
-        add_all(&mut s, &["iiii", "jjjj"]);
-        assert_eq!(s.commit(&ctx).unwrap().path, SnapshotPath::FullRebuild);
-    }
-
-    #[test]
-    fn incremental_and_full_snapshots_identical() {
-        let ctx = Ctx::seq();
-        let mut a = DictStore::in_memory();
-        let mut b = DictStore::in_memory();
-        for s in [&mut a, &mut b] {
-            add_all(s, &["he", "she", "his", "hers"]);
-            s.commit(&ctx).unwrap();
-            s.stage_remove(&to_symbols("his")).unwrap();
-            s.stage_add(&to_symbols("her")).unwrap();
+        let mut live: Vec<Vec<Sym>> = Vec::new();
+        let batches: [(&[&str], &[&str]); 3] = [
+            (&["he", "she", "his"], &[]),
+            (&["hers", "sh"], &["his"]),
+            (&["his", "her", "ushers", "is", "sheis"], &["he"]),
+        ];
+        for (adds, removes) in batches {
+            let before = s.symbol_count();
+            for p in symbolize(adds) {
+                s.stage_add(&p).unwrap();
+                live.push(p);
+            }
+            for p in symbolize(removes) {
+                s.stage_remove(&p).unwrap();
+                live.retain(|q| *q != p);
+            }
+            let staged: usize = adds.iter().chain(removes).map(|p| p.len()).sum();
+            assert!(staged > before, "each batch outweighs the dictionary");
+            let ctx = Ctx::seq();
+            let out = s.commit(&ctx).unwrap();
+            let at = format!("epoch {}", out.epoch);
+            assert_eq!(out.path, SnapshotPath::Incremental, "{at}");
+            assert!(out.tables.is_some(), "{at}");
+            assert_eq!(ctx.cost.snapshot(), Default::default(), "{at}");
+            assert!(ctx.cost.phases().is_empty(), "{at}");
+            assert_eq!(out.snapshot.patterns(), Some(&live[..]), "{at}");
+            let mut want: Vec<(usize, PatId)> = AhoCorasick::new(&live)
+                .find_all(&text)
+                .into_iter()
+                .map(|o| (o.start, o.pat as PatId))
+                .collect();
+            want.sort_unstable();
+            let built = Snapshot::build_static(&Ctx::seq(), out.epoch, live.clone()).unwrap();
+            assert_eq!(out.snapshot.find_all(&ctx, &text), want, "{at}");
+            assert_eq!(built.find_all(&ctx, &text), want, "{at}");
         }
-        let inc = a
-            .commit_with(&ctx, Some(SnapshotPath::Incremental))
-            .unwrap();
-        let full = b
-            .commit_with(&ctx, Some(SnapshotPath::FullRebuild))
-            .unwrap();
-        assert_eq!(inc.path, SnapshotPath::Incremental);
-        assert_eq!(full.path, SnapshotPath::FullRebuild);
-        assert_eq!(
-            (inc.snapshot.epoch(), inc.snapshot.patterns()),
-            (full.snapshot.epoch(), full.snapshot.patterns()),
-            "the canonical epoch must not depend on the rebuild path"
-        );
-        let text = to_symbols("usherssheher");
-        assert_eq!(
-            inc.snapshot.find_all(&ctx, &text),
-            full.snapshot.find_all(&ctx, &text),
-            "match output must not depend on the rebuild path"
-        );
     }
 
     #[test]

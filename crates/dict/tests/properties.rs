@@ -1,23 +1,22 @@
-//! Property tests for the two rebuild paths.
+//! Property tests for the commit path: every commit applies its batch to
+//! the store's `DynamicMatcher` and publishes a freeze of it.
 //!
 //! 1. `DynamicMatcher` after a *random interleaving* of inserts and
 //!    deletes is equivalent to a `StaticMatcher` built from scratch on the
-//!    surviving pattern set (the §6 claim the incremental commit path
-//!    leans on).
+//!    surviving pattern set (the §6 claim the commit path leans on).
 //! 2. A `DictStore` driven by the same interleaving — staged in batches
-//!    and committed (exercising both the incremental batch-apply and the
-//!    threshold-triggered full rebuild) — reports exactly the matches of a
+//!    of any size and committed — reports exactly the matches of a
 //!    from-scratch `StaticMatcher` on every committed epoch.
 //! 3. Frozen epochs over byte alphabets with the SWAR prefilter active:
 //!    every epoch of a random add/remove/commit script — through
 //!    delete-to-empty, re-adds, removal of the longest pattern (a `K`
-//!    change), the §6 squeeze-out rebuild, forced full rebuilds and runs
-//!    of incremental commits that patch the frozen tables, some while an
-//!    earlier epoch is still held — reports exactly Aho–Corasick's matches
-//!    and a fresh `build_static`'s, with the same canonical ids, at pool
-//!    widths 1, 2 and 4; every frozen table is a valid raw table of the
-//!    right size; a held epoch answers as it did when published; and an
-//!    incremental epoch's sidecar bytes load back to the same matches.
+//!    change), the §6 squeeze-out rebuild and runs of commits that patch
+//!    the frozen tables, some while an earlier epoch is still held —
+//!    reports exactly Aho–Corasick's matches and a fresh `build_static`'s,
+//!    with the same canonical ids, at pool widths 1, 2 and 4; every frozen
+//!    table is a valid raw table of the right size; a held epoch answers as
+//!    it did when published; and an epoch's sidecar bytes load back to the
+//!    same matches.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -110,9 +109,6 @@ proptest! {
     ) {
         let ctx = Ctx::seq();
         let mut store = DictStore::in_memory();
-        // Tiny threshold pushes some commits onto the full-rebuild path
-        // while small batches still go incremental.
-        store.set_rebuild_threshold(0.4);
         let mut live: Vec<Vec<Sym>> = Vec::new();
         let mut staged = 0usize;
         for (roll, p) in &ops {
@@ -205,8 +201,8 @@ fn alert_text(pool: &[Vec<Sym>], segments: &[(usize, Vec<u8>)]) -> Vec<Sym> {
 /// live list (whose positions are the canonical ids) and a fresh
 /// `build_static`, at every pool width; the frozen form's `m`, `K` and
 /// prefilter decision equal the fresh build's; every frozen table passes
-/// `from_raw_parts` with the slot count its entries call for; an
-/// incremental epoch's sidecar bytes load back to the same matches.
+/// `from_raw_parts` with the slot count its entries call for; the epoch's
+/// sidecar bytes load back to the same matches.
 fn check_epoch(snap: &Snapshot, live: &[Vec<Sym>], text: &[Sym]) -> Result<(), TestCaseError> {
     prop_assert_eq!(snap.patterns(), Some(live));
     if let Some(m) = snap.matcher() {
@@ -238,12 +234,11 @@ fn check_epoch(snap: &Snapshot, live: &[Vec<Sym>], text: &[Sym]) -> Result<(), T
         prop_assert_eq!(&snap.find_all(ctx, text), &want, "width index {}", w);
         prop_assert_eq!(&built.find_all(ctx, text), &want, "width index {}", w);
     }
-    if snap.path() == SnapshotPath::Incremental {
-        if let Some(bytes) = snap.to_sidecar_bytes() {
-            let back = Snapshot::from_bytes(&Ctx::seq(), &bytes).unwrap();
-            prop_assert_eq!(back.find_all(&Ctx::seq(), text), want);
-        }
-    }
+    let bytes = snap
+        .to_sidecar_bytes()
+        .expect("a committed epoch knows its patterns");
+    let back = Snapshot::from_bytes(&Ctx::seq(), &bytes).unwrap();
+    prop_assert_eq!(back.find_all(&Ctx::seq(), text), want);
     Ok(())
 }
 
@@ -289,18 +284,15 @@ impl<'a> Script<'a> {
         }
     }
 
-    /// Commit what is staged (if anything) on `force`, check the epoch,
-    /// and re-check every held epoch: one held across two commits — the
-    /// second patches the very copy it serves from — still answers as its
-    /// own epoch did, and is then released.
-    fn commit(
-        &mut self,
-        force: Option<SnapshotPath>,
-    ) -> Result<Option<CommitOutcome>, TestCaseError> {
+    /// Commit what is staged (if anything), check the epoch, and re-check
+    /// every held epoch: one held across two commits — the second patches
+    /// the very copy it serves from — still answers as its own epoch did,
+    /// and is then released.
+    fn commit(&mut self) -> Result<Option<CommitOutcome>, TestCaseError> {
         if self.staged.is_empty() {
             return Ok(None);
         }
-        let out = self.store.commit_with(&Ctx::seq(), force).unwrap();
+        let out = self.store.commit(&Ctx::seq()).unwrap();
         for (add, p) in self.staged.drain(..) {
             if add {
                 self.live.push(p);
@@ -308,10 +300,8 @@ impl<'a> Script<'a> {
                 self.live.retain(|q| *q != p);
             }
         }
-        prop_assert_eq!(
-            out.tables.is_some(),
-            out.path == SnapshotPath::Incremental && !self.live.is_empty()
-        );
+        prop_assert_eq!(out.path, SnapshotPath::Incremental);
+        prop_assert_eq!(out.tables.is_some(), !self.live.is_empty());
         check_epoch(&out.snapshot, &self.live, self.text)?;
         for (snap, live, since) in &mut self.held {
             *since += 1;
@@ -331,15 +321,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Ops: 0–4 stage an add, 5–6 a remove, 7 removes the longest pattern
-    /// live after the staged ops, 8 removes every one of them, 9–10
-    /// commit through the incremental path, 11 commits under the default
-    /// policy, 12 commits and holds the epoch across the next two commits,
-    /// 13 forces a full rebuild. Whole-dictionary removals shrink the live
-    /// size below half of what was inserted, so the §6 squeeze-out rebuild
-    /// runs too. A fixed coda follows: three incremental commits in a row
-    /// (the first held; the longest pattern toggled out and back, so `K`
-    /// changes twice), a removal of all but one pattern (squeeze-out), a
-    /// re-add, a forced full rebuild and three more incremental commits.
+    /// live after the staged ops, 8 removes every one of them, 9–11
+    /// commit, 12 commits and holds the epoch across the next two commits.
+    /// Whole-dictionary removals shrink the live size below half of what
+    /// was inserted, so the §6 squeeze-out rebuild runs too. A fixed coda
+    /// follows: three commits in a row (the first held; the longest pattern
+    /// toggled out and back, so `K` changes twice), a removal of all but
+    /// one pattern (squeeze-out), a re-add and four more commits.
     #[test]
     fn frozen_epochs_equal_aho_corasick_and_static_builds(
         long in (b'A'..=b'F', proptest::collection::vec(b'a'..=b'e', 16..24)),
@@ -347,7 +335,7 @@ proptest! {
             (b'A'..=b'F', proptest::collection::vec(b'a'..=b'e', 0..10)), 3..12),
         segments in proptest::collection::vec(
             (0usize..16, proptest::collection::vec(b'a'..=b'h', 0..12)), 4..40),
-        ops in proptest::collection::vec((0u8..14, 0usize..16), 1..60),
+        ops in proptest::collection::vec((0u8..13, 0usize..16), 1..60),
     ) {
         let pool = alert_pool(long, raw_pool);
         let text = alert_text(&pool, &segments);
@@ -355,7 +343,6 @@ proptest! {
         let live_after = |store: &DictStore| -> Vec<Vec<Sym>> {
             pool.iter().filter(|p| store.would_be_live(p)).cloned().collect()
         };
-        let inc = Some(SnapshotPath::Incremental);
         for &(op, i) in &ops {
             let p = &pool[i % pool.len()];
             match op {
@@ -367,44 +354,36 @@ proptest! {
                     }
                 }
                 8 => live_after(&s.store).iter().for_each(|p| s.remove(p)),
-                9 | 10 => {
-                    s.commit(inc)?;
+                9..=11 => {
+                    s.commit()?;
                 }
-                11 => {
-                    s.commit(None)?;
-                }
-                12 => {
-                    if let Some(out) = s.commit(inc)? {
+                _ => {
+                    if let Some(out) = s.commit()? {
                         s.hold(&out);
                     }
                 }
-                _ => {
-                    s.commit(Some(SnapshotPath::FullRebuild))?;
-                }
             }
         }
-        s.commit(inc)?;
+        s.commit()?;
         let at = |k: usize| &pool[k % pool.len()];
         s.toggle(at(1));
-        if let Some(out) = s.commit(inc)? {
+        if let Some(out) = s.commit()? {
             s.hold(&out);
         }
         for _ in 0..2 {
             s.toggle(at(0));
-            s.commit(inc)?;
+            s.commit()?;
         }
         let keep = at(2).clone();
         for p in live_after(&s.store).iter().filter(|p| **p != keep) {
             s.remove(p);
         }
-        s.commit(inc)?;
+        s.commit()?;
         pool.iter().for_each(|p| s.add(p));
-        s.commit(inc)?;
-        s.toggle(at(1));
-        s.commit(Some(SnapshotPath::FullRebuild))?;
-        for k in [2, 3, 1] {
+        s.commit()?;
+        for k in [1, 2, 3, 1] {
             s.toggle(at(k));
-            s.commit(inc)?;
+            s.commit()?;
         }
     }
 }
@@ -435,9 +414,7 @@ fn frozen_epochs_scan_with_the_prefilter_through_squeeze_out() {
         text[at..at + p.len()].copy_from_slice(p);
     }
     let commit = |store: &mut DictStore, live: &[Vec<Sym>]| {
-        let out = store
-            .commit_with(&ctx, Some(SnapshotPath::Incremental))
-            .unwrap();
+        let out = store.commit(&ctx).unwrap();
         check_epoch(&out.snapshot, live, &text).unwrap();
         out
     };

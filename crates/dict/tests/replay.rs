@@ -160,7 +160,7 @@ fn boot_cold_loads_fresh_sidecar() {
         store.commit(&ctx).unwrap();
         store.compact(&ctx).unwrap();
     }
-    let mut store = DictStore::open(&path).unwrap();
+    let store = DictStore::open(&path).unwrap();
     let boot = store.boot_snapshot(&ctx).unwrap();
     assert!(boot.cold_loaded(), "fallback: {:?}", boot.fallback);
     assert_eq!(boot.snapshot.path(), pdm_dict::SnapshotPath::ColdLoaded);
@@ -270,8 +270,8 @@ fn lazy_hydration_defers_naming_until_first_commit() {
     // Structural replay still exposes correct counts.
     assert_eq!(store.pattern_count(), 3);
     assert_eq!(store.symbol_count(), 6);
-    // First commit after a cold open hydrates, then the incremental path
-    // and the rebuild path still agree end to end.
+    // First commit after a cold open hydrates, then its freeze and a
+    // fresh static build agree end to end.
     store.stage_add(&to_symbols("dd")).unwrap();
     let out = store.commit(&ctx).unwrap();
     assert_eq!(out.epoch, 2);

@@ -63,11 +63,6 @@ impl DynTable {
         log.mark = log.keys.len();
     }
 
-    /// Stop logging and drop what was logged.
-    pub fn stop_log(&mut self) {
-        self.log = None;
-    }
-
     /// Keys created or removed since the mark before last (each at most a
     /// few times, in no useful order); empty when not logging.
     pub fn logged(&self) -> &[u64] {
@@ -245,9 +240,6 @@ mod tests {
         assert_eq!(t.logged().len(), 4, "both spans since the first mark");
         t.mark_log();
         assert_eq!(t.logged(), [pack(7, 7)], "the span before dropped");
-        t.stop_log();
-        t.name_ref(8, 9);
-        assert!(t.logged().is_empty());
     }
 
     #[test]

@@ -4,15 +4,14 @@
 //! One [`DictAdmin`] is shared by every connection of a versioned server.
 //! Staging and committing serialize on the store mutex (updates are rare
 //! and cheap compared to matching); a run of stage frames is one store
-//! batch with one log sync. **Publishing** the committed snapshot is a
-//! pointer swap on the epoch handle, so streaming sessions never block on
-//! a rebuild — they adopt the new epoch at their next chunk boundary.
+//! batch with one log sync. A commit freezes the store's dynamic matcher
+//! into the epoch it publishes, and **publishing** it is a pointer swap on
+//! the epoch handle, so the shard workers never wait for the freeze — the
+//! sessions adopt the new epoch at their next chunk boundary.
 
 use std::sync::{Arc, Mutex};
 
-use pdm_dict::{
-    BootFallback, CommitOutcome, DictStore, EpochHandle, SnapshotPath, StageOp, StoreError,
-};
+use pdm_dict::{BootFallback, CommitOutcome, DictStore, EpochHandle, StageOp, StoreError};
 use pdm_pram::{CostModel, Ctx, ExecPolicy};
 
 use crate::metrics::GlobalMetrics;
@@ -22,9 +21,6 @@ use crate::proto::DictInfo;
 pub struct DictAdmin {
     store: Mutex<DictStore>,
     handle: Arc<EpochHandle>,
-    /// Context for commit-time rebuilds (the full-rebuild path runs the
-    /// parallel build on this policy's pool).
-    ctx: Ctx,
     /// Why the first epoch was rebuilt instead of cold-loaded from the
     /// `.snap` sidecar; `None` = it was cold-loaded.
     boot_fallback: Option<BootFallback>,
@@ -33,9 +29,9 @@ pub struct DictAdmin {
 impl DictAdmin {
     /// Wrap a store, publishing its current committed dictionary as the
     /// initial epoch — cold-loaded from the `.snap` sidecar when it is
-    /// fresh, rebuilt otherwise. `exec` is the execution policy for
-    /// commit-time rebuilds.
-    pub fn new(mut store: DictStore, exec: ExecPolicy) -> Result<Arc<Self>, StoreError> {
+    /// fresh, otherwise built in parallel on `exec`'s pool. Commits need no
+    /// pool: each freezes the store's dynamic matcher.
+    pub fn new(store: DictStore, exec: ExecPolicy) -> Result<Arc<Self>, StoreError> {
         let ctx = Ctx {
             exec,
             cost: Arc::new(CostModel::new()),
@@ -45,7 +41,6 @@ impl DictAdmin {
         Ok(Arc::new(DictAdmin {
             store: Mutex::new(store),
             handle,
-            ctx,
             boot_fallback: boot.fallback,
         }))
     }
@@ -81,12 +76,12 @@ impl DictAdmin {
 
     /// Commit every staged op as a new epoch and publish it. Sessions pick
     /// the new snapshot up at their next chunk boundary; `global` records
-    /// the swap and which rebuild path ran.
+    /// the swap.
     pub fn commit(&self, global: &GlobalMetrics) -> Result<CommitOutcome, StoreError> {
         let mut store = self.store.lock().expect("admin store poisoned");
-        let out = store.commit(&self.ctx)?;
+        let out = store.commit(&Ctx::seq())?;
         self.handle.publish(Arc::clone(&out.snapshot));
-        global.epoch_swapped(out.path == SnapshotPath::Incremental);
+        global.epoch_swapped();
         Ok(out)
     }
 
@@ -106,6 +101,7 @@ impl DictAdmin {
 mod tests {
     use super::*;
     use pdm_core::dict::to_symbols;
+    use pdm_dict::SnapshotPath;
 
     fn admin() -> Arc<DictAdmin> {
         DictAdmin::new(DictStore::in_memory(), ExecPolicy::Seq).unwrap()
@@ -125,9 +121,7 @@ mod tests {
         let out = a.commit(&g).unwrap();
         assert_eq!(out.epoch, 1);
         assert_eq!(a.handle().epoch(), 1, "commit published the snapshot");
-        let s = g.snapshot();
-        assert_eq!(s.epoch_swaps, 1);
-        assert_eq!(s.dict_applies_incremental + s.dict_rebuilds_full, 1);
+        assert_eq!(g.snapshot().epoch_swaps, 1);
         let info = a.info();
         assert_eq!((info.epoch, info.patterns, info.staged), (1, 2, 0));
         assert_eq!(info.max_pattern_len, 3);

@@ -76,8 +76,6 @@ pub struct GlobalMetrics {
     drain_forced: AtomicU64,
     epoch_swaps: AtomicU64,
     epoch_adoptions: AtomicU64,
-    dict_applies_incremental: AtomicU64,
-    dict_rebuilds_full: AtomicU64,
     reactor_wakeups: AtomicU64,
     reactor_events: AtomicU64,
     frames_decoded: AtomicU64,
@@ -107,10 +105,6 @@ pub struct GlobalSnapshot {
     pub epoch_swaps: u64,
     /// Session-level adoptions of a published epoch at a chunk boundary.
     pub epoch_adoptions: u64,
-    /// Commits that went through the incremental (§6 dynamic) path.
-    pub dict_applies_incremental: u64,
-    /// Commits that ran a full parallel rebuild.
-    pub dict_rebuilds_full: u64,
     /// Reactor-loop iterations (returns from `poll`, including timeouts,
     /// spurious wakeups, and `EINTR`). Serve-mode `reactor` only.
     pub reactor_wakeups: u64,
@@ -130,7 +124,7 @@ pub struct GlobalSnapshot {
 impl GlobalSnapshot {
     /// Number of counters in [`Self::named_fields`] (the wire-stats field
     /// count; see [`crate::proto::encode_stats`]).
-    pub const FIELD_COUNT: usize = 24;
+    pub const FIELD_COUNT: usize = 22;
 
     /// Every counter as a `(name, value)` pair, in a fixed order shared by
     /// the wire encoding and the `pdm stats` output.
@@ -153,8 +147,6 @@ impl GlobalSnapshot {
             ("drain_forced", self.drain_forced),
             ("epoch_swaps", self.epoch_swaps),
             ("epoch_adoptions", self.epoch_adoptions),
-            ("dict_applies_incremental", self.dict_applies_incremental),
-            ("dict_rebuilds_full", self.dict_rebuilds_full),
             ("reactor_wakeups", self.reactor_wakeups),
             ("reactor_events", self.reactor_events),
             ("frames_decoded", self.frames_decoded),
@@ -187,13 +179,11 @@ impl GlobalSnapshot {
             drain_forced: vals[14],
             epoch_swaps: vals[15],
             epoch_adoptions: vals[16],
-            dict_applies_incremental: vals[17],
-            dict_rebuilds_full: vals[18],
-            reactor_wakeups: vals[19],
-            reactor_events: vals[20],
-            frames_decoded: vals[21],
-            partial_writes: vals[22],
-            timer_expirations: vals[23],
+            reactor_wakeups: vals[17],
+            reactor_events: vals[18],
+            frames_decoded: vals[19],
+            partial_writes: vals[20],
+            timer_expirations: vals[21],
         })
     }
 }
@@ -252,16 +242,9 @@ impl GlobalMetrics {
         self.drain_forced.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A new dictionary epoch was published; `incremental` names the
-    /// rebuild path its commit took.
-    pub fn epoch_swapped(&self, incremental: bool) {
+    /// A commit published a new dictionary epoch.
+    pub fn epoch_swapped(&self) {
         self.epoch_swaps.fetch_add(1, Ordering::Relaxed);
-        if incremental {
-            self.dict_applies_incremental
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.dict_rebuilds_full.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// A session adopted a published epoch at a chunk boundary.
@@ -322,8 +305,6 @@ impl GlobalMetrics {
             drain_forced: self.drain_forced.load(Ordering::Relaxed),
             epoch_swaps: self.epoch_swaps.load(Ordering::Relaxed),
             epoch_adoptions: self.epoch_adoptions.load(Ordering::Relaxed),
-            dict_applies_incremental: self.dict_applies_incremental.load(Ordering::Relaxed),
-            dict_rebuilds_full: self.dict_rebuilds_full.load(Ordering::Relaxed),
             reactor_wakeups: self.reactor_wakeups.load(Ordering::Relaxed),
             reactor_events: self.reactor_events.load(Ordering::Relaxed),
             frames_decoded: self.frames_decoded.load(Ordering::Relaxed),

@@ -14,8 +14,9 @@
 #   BENCH_conns.json -> conn_scale: per-leg MB/s across the reactor
 #                       connection ladder; fails below 50%.
 #   BENCH_dict.json  -> dict_swap: stream MB/s across epoch swaps, fails
-#                       below 50%; per-batch incremental commit ms, fails
-#                       above twice the baseline.
+#                       below 50%; per-batch steady-state commit ms (the
+#                       patched freeze every commit takes, timed after two
+#                       untimed commits), fails above twice the baseline.
 #   BENCH_index.json -> index_throughput: build seq MB/s and merged-query
 #                       seq kqps; fails below 70%.
 #   BENCH_snap.json  -> snap_coldstart: sidecar decode MB/s; fails below

@@ -1310,7 +1310,7 @@ fn run_fsck_index(path: &str, repair: bool, w: &mut impl Write) -> std::io::Resu
 /// path ran). Reports *all* occurrences per position, like `--all`.
 fn run_match_log(log: &str, txt: &[Sym], ctx: &Ctx, w: &mut impl Write) -> std::io::Result<i32> {
     let boot = match pdm_dict::DictStore::open(std::path::Path::new(log))
-        .and_then(|mut store| store.boot_snapshot(ctx))
+        .and_then(|store| store.boot_snapshot(ctx))
         .map_err(store_err(log))
     {
         Ok(b) => b,
@@ -1553,7 +1553,8 @@ fn run_stats_addr(addr: &str, w: &mut impl Write) -> std::io::Result<i32> {
 
 /// Execute a `pdm dict` operation against a local log or a live server.
 fn run_dict(op: DictOp, target: DictTarget, w: &mut impl Write) -> std::io::Result<i32> {
-    use pdm_dict::{DictStore, SnapshotPath};
+    use pdm_core::dynamic::FreezeRoute;
+    use pdm_dict::DictStore;
     use pdm_stream::proto::{
         decode_dict_info, TAG_DICT_ADD, TAG_DICT_COMMIT, TAG_DICT_ERR, TAG_DICT_INFO,
         TAG_DICT_INFO_RESP, TAG_DICT_OK, TAG_DICT_REMOVE,
@@ -1574,15 +1575,16 @@ fn run_dict(op: DictOp, target: DictTarget, w: &mut impl Write) -> std::io::Resu
                 DictOp::Remove { pattern } => store
                     .stage_remove(&to_symbols(pattern))
                     .map(|()| format!("staged remove \"{pattern}\"")),
-                DictOp::Commit => store.commit(&Ctx::par()).map(|out| {
+                DictOp::Commit => store.commit(&Ctx::seq()).map(|out| {
                     format!(
-                        "committed epoch {} ({} patterns, {} rebuild)",
+                        "committed epoch {} ({} patterns, tables {})",
                         out.epoch,
                         out.snapshot.pattern_count(),
-                        match out.path {
-                            SnapshotPath::Incremental => "incremental",
-                            SnapshotPath::FullRebuild => "full",
-                            SnapshotPath::ColdLoaded => "cold-loaded",
+                        match out.tables {
+                            Some(FreezeRoute::InPlace) => "in place",
+                            Some(FreezeRoute::Copied) => "copied",
+                            Some(FreezeRoute::Refrozen) => "refrozen",
+                            None => "empty",
                         }
                     )
                 }),
@@ -2656,9 +2658,13 @@ mod tests {
             let (code, s) = run_op(DictOp::Add { pattern: p.into() });
             assert_eq!(code, 0, "{s}");
         }
+        // Each run opens the log afresh, so its commit is a first freeze.
         let (code, s) = run_op(DictOp::Commit);
         assert_eq!(code, 0, "{s}");
-        assert!(s.contains("committed epoch 1 (2 patterns"), "{s}");
+        assert!(
+            s.contains("committed epoch 1 (2 patterns, tables refrozen)"),
+            "{s}"
+        );
         let (code, s) = run_op(DictOp::Remove {
             pattern: "he".into(),
         });
@@ -2669,7 +2675,10 @@ mod tests {
         assert!(s.contains("1 staged ops"), "{s}");
         let (code, s) = run_op(DictOp::Commit);
         assert_eq!(code, 0, "{s}");
-        assert!(s.contains("committed epoch 2 (1 patterns"), "{s}");
+        assert!(
+            s.contains("committed epoch 2 (1 patterns, tables refrozen)"),
+            "{s}"
+        );
         // Double-remove is a user error, surfaced as exit 2.
         let (code, s) = run_op(DictOp::Remove {
             pattern: "he".into(),
@@ -2682,6 +2691,16 @@ mod tests {
         assert!(
             std::path::Path::new(&format!("{log}.snap")).exists() || s.contains("snapshot"),
             "compact emits a snapshot: {s}"
+        );
+        let (code, s) = run_op(DictOp::Remove {
+            pattern: "she".into(),
+        });
+        assert_eq!(code, 0, "{s}");
+        let (code, s) = run_op(DictOp::Commit);
+        assert_eq!(code, 0, "{s}");
+        assert!(
+            s.contains("committed epoch 3 (0 patterns, tables empty)"),
+            "{s}"
         );
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -6,10 +6,11 @@
 //!
 //! * [`pram`] — arbitrary-CRCW PRAM execution substrate with an explicit
 //!   time/work cost model;
-//! * [`primitives`] — scans, compaction, nearest-one, radix sort, name
-//!   tables;
-//! * [`naming`] — Karp–Miller–Rosenberg naming, namestamping, prefix-naming
-//!   and their dynamic variants (paper §3, §6);
+//! * [`primitives`] — prefix scans, Fx hashing, open-addressing name tables
+//!   (sequential, CAS-concurrent, frozen), CRC, the sidecar codec and the
+//!   disk I/O plane;
+//! * [`naming`] — name pools, namestamping tables, prefix-naming with one
+//!   dyadic fold shape, and their dynamic variants (paper §3, §6);
 //! * [`core`] — the paper's algorithms: static shrink-and-spawn dictionary
 //!   matching (§4), the small-alphabet refinement (§4.4), 2-D dictionary
 //!   matching (§5), dynamic dictionaries (§6), the optimal equal-length

@@ -143,8 +143,7 @@ fn crash_and_recover(ctx: &Ctx, oracle: &[Vec<(usize, PatId)>], at: u64, torn_by
     );
 
     // The store boots and serves exactly the oracle for its epoch.
-    let mut store =
-        DictStore::open(&path).unwrap_or_else(|e| panic!("reopen after crash {at}: {e}"));
+    let store = DictStore::open(&path).unwrap_or_else(|e| panic!("reopen after crash {at}: {e}"));
     let epoch = store.epoch();
     assert!(
         (epoch as usize) < oracle.len(),
@@ -224,7 +223,7 @@ fn scheduled_write_failures_surface_and_do_not_corrupt() {
     });
     let _ = workload(&path, &ctx);
     faults::clear();
-    let mut store = DictStore::open(&path).unwrap();
+    let store = DictStore::open(&path).unwrap();
     let epoch = store.epoch() as usize;
     assert!(epoch < oracle.len());
     let boot = store.boot_snapshot(&ctx).unwrap();

@@ -187,8 +187,8 @@ fn serving_paths_find_all_agree_with_aho_corasick() {
         assert!(!want.is_empty(), "{tag}: excerpts occur");
         assert_eq!(as_pairs(st.find_all(&ctx, text)), want, "{tag}: static");
 
-        // Commit most of the dictionary, then a small batch that takes
-        // the incremental path: its epoch is the frozen dynamic matcher.
+        // Commit most of the dictionary, then a batch: like every commit,
+        // it publishes a freeze of the store's dynamic matcher.
         let mut store = DictStore::in_memory();
         let (bulk, late) = pats.split_at(pats.len() - 20);
         for p in bulk {
